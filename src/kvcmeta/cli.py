@@ -18,7 +18,7 @@ import sys
 import threading
 
 from . import analysis, bench, report, synth
-from .service import RemoteBackend, TransportError, connect, serve
+from .service import RemoteBackend, TransportError, connect, parse_hostport, serve
 from .store import CacheConfig, HybridMetaStore
 from .trace import TraceParseError, load_trace, save_trace
 
@@ -27,21 +27,11 @@ log = logging.getLogger("kvcmeta")
 EXTERNAL_ADDR_ENV = "KVCMETA_EXTERNAL_ADDR"
 
 
-def _parse_hostport(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"expected host:port, got {text!r}")
-    return host, int(port)
-
-
-_CACHE_KEYS = {
-    "capacity": "capacity_entries",
-    "cap": "capacity_entries",
-    "policy": "policy",
-    "pin": "pin_first_n",
-    "pin_first_n": "pin_first_n",
-    "halflife": "hotness_halflife_s",
-    "hotness_halflife_s": "hotness_halflife_s",
+_CACHE_KEYS = {  # option name -> (CacheConfig field, converter)
+    "policy": ("policy", str.strip),
+    "capacity": ("capacity_entries", int),
+    "pin": ("pin_first_n", int),
+    "halflife": ("hotness_halflife_s", float),
 }
 
 
@@ -51,15 +41,11 @@ def parse_cache_config(text: str) -> CacheConfig:
     if text:
         for part in text.split(","):
             name, _, raw = part.partition("=")
-            field = _CACHE_KEYS.get(name.strip())
-            if field is None or not raw:
+            item = _CACHE_KEYS.get(name.strip())
+            if item is None or not raw:
                 raise ValueError(f"bad cache config item {part!r}")
-            if field == "policy":
-                kwargs[field] = raw.strip()
-            elif field == "hotness_halflife_s":
-                kwargs[field] = float(raw)
-            else:
-                kwargs[field] = int(raw)
+            field, convert = item
+            kwargs[field] = convert(raw)
     return CacheConfig(**kwargs)
 
 
@@ -203,7 +189,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    host, port = _parse_hostport(args.listen)
+    host, port = parse_hostport(args.listen)
     store = HybridMetaStore(
         cache=parse_cache_config(args.cache),
         max_entries=args.max_entries,

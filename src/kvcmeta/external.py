@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 
+from .service import parse_hostport
 from .store import BadRangeError, IndexStats
 
 
@@ -28,10 +29,8 @@ class ExternalBackend:
                 "the external backend requires the 'redis' package "
                 "(pip install kvcmeta[external])"
             ) from exc
-        host, _, port = address.rpartition(":")
-        if not host or not port.isdigit():
-            raise ValueError(f"external address must be host:port, got {address!r}")
-        self._client = redis.Redis(host=host, port=int(port))
+        host, port = parse_hostport(address)
+        self._client = redis.Redis(host=host, port=port)
         self._zkey = f"{namespace}:keys".encode()
         self._vprefix = f"{namespace}:v:".encode()
         self._lock = threading.Lock()

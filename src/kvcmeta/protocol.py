@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .store import IndexStats, KEY_BYTES
 
@@ -50,10 +51,18 @@ _HEADER = struct.Struct(">IB")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _STATS = struct.Struct(">8Q")
+_KEY = f"{KEY_BYTES}s"
 
 
 class ProtocolError(ValueError):
-    """A frame or payload violates the wire format."""
+    """A frame or payload violates the wire format.
+
+    ``opcode`` is the offending frame's opcode when its header was read.
+    """
+
+    def __init__(self, message: str, opcode: int | None = None):
+        super().__init__(message)
+        self.opcode = opcode
 
 
 @dataclass(frozen=True)
@@ -117,13 +126,38 @@ class StatsResponse:
 Request = PutRequest | GetRequest | ScanRequest | DeleteRequest | StatsRequest
 Response = PutResponse | GetResponse | ScanResponse | DeleteResponse | StatsResponse
 
-REQUEST_OPCODE = {
-    PutRequest: OP_PUT,
-    GetRequest: OP_GET,
-    ScanRequest: OP_SCAN,
-    DeleteRequest: OP_DELETE,
-    StatsRequest: OP_STATS,
+
+class _Op(NamedTuple):
+    """One opcode's message types and request layout."""
+
+    opcode: int
+    request: type
+    response: type
+    payload: struct.Struct  # request payload, one code per field in field order
+    header: bytes  # request frame header, fixed since the payload size is
+    keys: tuple[str, ...]  # fields that must be KEY_BYTES long
+
+
+def _op(opcode: int, request: type, response: type, *layout: str) -> _Op:
+    """Table entry; ``layout`` is each request field's struct code, in field order."""
+    names = [f.name for f in fields(request)]
+    keys = tuple(n for n, code in zip(names, layout, strict=True) if code == _KEY)
+    payload = struct.Struct(">" + "".join(layout))
+    return _Op(opcode, request, response, payload,
+               _HEADER.pack(payload.size, opcode), keys)
+
+
+_OPS = {
+    op.opcode: op
+    for op in (
+        _op(OP_PUT, PutRequest, PutResponse, _KEY, "Q"),
+        _op(OP_GET, GetRequest, GetResponse, _KEY),
+        _op(OP_SCAN, ScanRequest, ScanResponse, _KEY, _KEY, "I"),
+        _op(OP_DELETE, DeleteRequest, DeleteResponse, _KEY),
+        _op(OP_STATS, StatsRequest, StatsResponse),
+    )
 }
+_OP_OF_REQUEST = {op.request: op for op in _OPS.values()}
 
 
 def _check_key(key: bytes, what: str = "key") -> bytes:
@@ -154,78 +188,51 @@ def decode_frame(buf: bytes) -> tuple[int, bytes, int]:
     return opcode, buf[_HEADER.size:end], end
 
 
-def recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly n bytes; ConnectionError if the peer closes early."""
-    chunks = bytearray()
-    while len(chunks) < n:
-        part = sock.recv(n - len(chunks))
-        if not part:
-            raise ConnectionError("connection closed mid-frame")
-        chunks.extend(part)
-    return bytes(chunks)
-
-
 def read_frame(sock: socket.socket) -> tuple[int, bytes] | None:
-    """Read one frame; None on clean EOF at a frame boundary."""
-    first = sock.recv(1)
-    if not first:
+    """Read one frame; None on clean EOF at a frame boundary.
+
+    Raises ConnectionError if the peer closes mid-frame, and ProtocolError
+    carrying the frame's opcode if its length exceeds MAX_PAYLOAD.
+    """
+    header = sock.recv(_HEADER.size)
+    if not header:
         return None
-    header = first + recv_exact(sock, _HEADER.size - 1)
-    length, opcode = _HEADER.unpack(header)
-    if length > MAX_PAYLOAD:
-        raise ProtocolError(f"frame length {length} exceeds {MAX_PAYLOAD}")
-    payload = recv_exact(sock, length) if length else b""
-    return opcode, payload
+    opcode = None
+    chunks, got, want = [header], len(header), _HEADER.size
+    while True:
+        while got < want:
+            part = sock.recv(want - got)
+            if not part:
+                raise ConnectionError("connection closed mid-frame")
+            chunks.append(part)
+            got += len(part)
+        if opcode is not None:
+            return opcode, b"".join(chunks)
+        length, opcode = _HEADER.unpack(b"".join(chunks))
+        if length > MAX_PAYLOAD:
+            raise ProtocolError(f"frame length {length} exceeds {MAX_PAYLOAD}", opcode)
+        chunks, got, want = [], 0, length
 
 
 def encode_request(req: Request) -> bytes:
     """Full request frame for any request message."""
-    if isinstance(req, PutRequest):
-        payload = _check_key(req.key) + _U64.pack(req.value)
-    elif isinstance(req, GetRequest):
-        payload = _check_key(req.key)
-    elif isinstance(req, ScanRequest):
-        payload = (
-            _check_key(req.start, "start")
-            + _check_key(req.end_exclusive, "end_exclusive")
-            + _U32.pack(req.max_results)
-        )
-    elif isinstance(req, DeleteRequest):
-        payload = _check_key(req.key)
-    elif isinstance(req, StatsRequest):
-        payload = b""
-    else:
+    op = _OP_OF_REQUEST.get(type(req))
+    if op is None:
         raise ProtocolError(f"not a request message: {req!r}")
-    return encode_frame(REQUEST_OPCODE[type(req)], payload)
+    values = req.__dict__  # set by the dataclass __init__, in field order
+    for name in op.keys:
+        _check_key(values[name], name)
+    return op.header + op.payload.pack(*values.values())
 
 
 def decode_request(opcode: int, payload: bytes) -> Request:
     """Parse a request payload; ProtocolError on unknown opcode or bad size."""
-    if opcode == OP_PUT:
-        if len(payload) != KEY_BYTES + 8:
-            raise ProtocolError(f"PUT payload must be {KEY_BYTES + 8} bytes")
-        return PutRequest(payload[:KEY_BYTES], _U64.unpack_from(payload, KEY_BYTES)[0])
-    if opcode == OP_GET:
-        if len(payload) != KEY_BYTES:
-            raise ProtocolError(f"GET payload must be {KEY_BYTES} bytes")
-        return GetRequest(payload)
-    if opcode == OP_SCAN:
-        if len(payload) != 2 * KEY_BYTES + 4:
-            raise ProtocolError(f"SCAN payload must be {2 * KEY_BYTES + 4} bytes")
-        return ScanRequest(
-            payload[:KEY_BYTES],
-            payload[KEY_BYTES : 2 * KEY_BYTES],
-            _U32.unpack_from(payload, 2 * KEY_BYTES)[0],
-        )
-    if opcode == OP_DELETE:
-        if len(payload) != KEY_BYTES:
-            raise ProtocolError(f"DELETE payload must be {KEY_BYTES} bytes")
-        return DeleteRequest(payload)
-    if opcode == OP_STATS:
-        if payload:
-            raise ProtocolError("STATS payload must be empty")
-        return StatsRequest()
-    raise ProtocolError(f"unknown opcode {opcode}")
+    op = _OPS.get(opcode)
+    if op is None:
+        raise ProtocolError(f"unknown opcode {opcode}")
+    if len(payload) != op.payload.size:
+        raise ProtocolError(f"{op.request.__name__} payload must be {op.payload.size} bytes")
+    return op.request(*op.payload.unpack(payload))
 
 
 def encode_response(resp: Response) -> bytes:
@@ -277,10 +284,10 @@ def decode_response(opcode: int, payload: bytes) -> Response:
     if status in (ST_BAD_REQUEST, ST_INTERNAL):
         if body:
             raise ProtocolError("error response carries no body")
-        cls = _ERROR_RESPONSE.get(opcode)
-        if cls is None:
+        op = _OPS.get(opcode)
+        if op is None:
             raise ProtocolError(f"unknown opcode {opcode}")
-        return cls(status)
+        return op.response(status)
     if status not in (ST_OK, ST_NOT_FOUND):
         raise ProtocolError(f"unknown status {status}")
 
@@ -326,15 +333,6 @@ def decode_response(opcode: int, payload: bytes) -> Response:
             raise ProtocolError(f"STATS response must carry {_STATS.size} bytes")
         return StatsResponse(status, IndexStats(*_STATS.unpack(body)))
     raise ProtocolError(f"unknown opcode {opcode}")
-
-
-_ERROR_RESPONSE = {
-    OP_PUT: PutResponse,
-    OP_GET: GetResponse,
-    OP_SCAN: ScanResponse,
-    OP_DELETE: DeleteResponse,
-    OP_STATS: StatsResponse,
-}
 
 
 def error_response_frame(opcode: int, status: int) -> bytes:

@@ -23,14 +23,6 @@ from typing import Protocol, runtime_checkable
 
 from . import protocol as wire
 from .store import BadRangeError, IndexStats
-from .protocol import (
-    DeleteRequest,
-    GetRequest,
-    ProtocolError,
-    PutRequest,
-    ScanRequest,
-    StatsRequest,
-)
 
 _UNLIMITED = 0xFFFFFFFF  # u32 max_results sentinel: effectively no truncation
 
@@ -56,67 +48,47 @@ class Backend(Protocol):
     def stats(self) -> IndexStats: ...
 
 
-def _apply(backend: Backend, req) -> wire.Response:
-    if isinstance(req, PutRequest):
+def _apply(backend: Backend, opcode: int, req) -> wire.Response:
+    if opcode == wire.OP_PUT:
         return wire.PutResponse(wire.ST_OK, backend.put(req.key, req.value))
-    if isinstance(req, GetRequest):
+    if opcode == wire.OP_GET:
         value = backend.get(req.key)
         if value is None:
             return wire.GetResponse(wire.ST_NOT_FOUND)
         return wire.GetResponse(wire.ST_OK, value)
-    if isinstance(req, ScanRequest):
+    if opcode == wire.OP_SCAN:
         entries = backend.scan(req.start, req.end_exclusive, req.max_results)
         return wire.ScanResponse(wire.ST_OK, tuple(entries))
-    if isinstance(req, DeleteRequest):
+    if opcode == wire.OP_DELETE:
         return wire.DeleteResponse(wire.ST_OK, backend.delete(req.key))
-    if isinstance(req, StatsRequest):
+    if opcode == wire.OP_STATS:
         return wire.StatsResponse(wire.ST_OK, backend.stats())
-    raise ProtocolError(f"unhandled request {req!r}")
+    raise wire.ProtocolError(f"unhandled opcode {opcode}")
 
 
 class _Handler(socketserver.BaseRequestHandler):
-    IDLE_POLL_S = 0.2
-
     def handle(self) -> None:
         sock = self.request
-        server: _TcpServer = self.server  # type: ignore[assignment]
+        backend = self.server.backend
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        while not server.stop_event.is_set():
-            sock.settimeout(self.IDLE_POLL_S)
+        try:
             try:
-                first = sock.recv(1)
-            except TimeoutError:
-                continue
-            except OSError:
-                return
-            if not first:
-                return
-            # A frame has started: finish reading it without idle polling.
-            sock.settimeout(30.0)
-            try:
-                header = first + wire.recv_exact(sock, 4)
-                length = int.from_bytes(header[:4], "big")
-                opcode = header[4]
-                if length > wire.MAX_PAYLOAD:
-                    # Framing cannot be trusted past this point; reject and drop.
-                    sock.sendall(wire.error_response_frame(opcode, wire.ST_BAD_REQUEST))
-                    return
-                payload = wire.recv_exact(sock, length) if length else b""
-            except (OSError, ConnectionError):
-                return
-            try:
-                sock.sendall(self._respond(server.backend, opcode, payload))
-            except OSError:
-                return
+                while (frame := wire.read_frame(sock)) is not None:
+                    sock.sendall(self._respond(backend, *frame))
+            except wire.ProtocolError as exc:
+                # Framing cannot be trusted past an oversized header; reject and drop.
+                sock.sendall(wire.error_response_frame(exc.opcode, wire.ST_BAD_REQUEST))
+        except OSError:
+            return  # reset, closed mid-frame, or shut down by stop()
 
     @staticmethod
     def _respond(backend: Backend, opcode: int, payload: bytes) -> bytes:
         try:
             req = wire.decode_request(opcode, payload)
-        except ProtocolError:
+        except wire.ProtocolError:
             return wire.error_response_frame(opcode, wire.ST_BAD_REQUEST)
         try:
-            resp = _apply(backend, req)
+            resp = _apply(backend, opcode, req)
             return wire.encode_frame(opcode, wire.encode_response(resp))
         except BadRangeError:
             return wire.error_response_frame(opcode, wire.ST_BAD_REQUEST)
@@ -129,19 +101,44 @@ class _TcpServer(socketserver.ThreadingTCPServer):
     daemon_threads = False
     block_on_close = True
 
-    def __init__(self, address, handler, backend: Backend, stop_event: threading.Event):
+    def __init__(self, address, handler, backend: Backend):
         self.backend = backend
-        self.stop_event = stop_event
+        self._open: set[socket.socket] = set()
+        self._open_changed = threading.Condition()
         super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_changed:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_changed:
+            self._open.discard(request)
+            self._open_changed.notify_all()
+        super().shutdown_request(request)
+
+    def close_connections(self, drain_s: float) -> None:
+        """Shut reading down on every open connection: idle handlers see EOF
+        and busy ones send their reply. After ``drain_s``, shut writing down
+        too, which ends handlers blocked on a peer that does not read."""
+        with self._open_changed:
+            for how in (socket.SHUT_RD, socket.SHUT_RDWR):
+                for sock in self._open:
+                    try:
+                        sock.shutdown(how)
+                    except OSError:
+                        pass
+                self._open_changed.wait_for(lambda: not self._open, drain_s)
 
 
 class StoreServer:
     """A running store service; stop() drains in-flight requests."""
 
+    DRAIN_S = 5.0  # how long stop() lets handlers finish before cutting them off
+
     def __init__(self, address: tuple[str, int], backend: Backend):
-        self.backend = backend
-        self._stop = threading.Event()
-        self._server = _TcpServer(address, _Handler, backend, self._stop)
+        self._server = _TcpServer(address, _Handler, backend)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
     @property
@@ -153,9 +150,9 @@ class StoreServer:
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        self._server.shutdown()
-        self._server.server_close()
+        self._server.shutdown()  # no new connections after this returns
+        self._server.close_connections(self.DRAIN_S)
+        self._server.server_close()  # joins the handler threads
         self._thread.join(timeout=10.0)
 
     def __enter__(self) -> "StoreServer":
@@ -214,24 +211,24 @@ class RemoteBackend:
                     self._conns.remove(sock)
 
     def _call(self, req: wire.Request) -> wire.Response:
+        frame = wire.encode_request(req)
         sock = self._conn()
-        expected_op = wire.REQUEST_OPCODE[type(req)]
         try:
-            sock.sendall(wire.encode_request(req))
-            frame = wire.read_frame(sock)
-        except (TimeoutError, OSError, ConnectionError) as exc:
+            sock.sendall(frame)
+            reply = wire.read_frame(sock)
+        except (OSError, wire.ProtocolError) as exc:
             self._drop()
             raise TransportError(f"exchange failed: {exc}") from exc
-        if frame is None:
+        if reply is None:
             self._drop()
             raise TransportError("connection closed by server")
-        opcode, payload = frame
-        if opcode != expected_op:
+        opcode, payload = reply
+        if opcode != frame[4]:  # the request's opcode byte, after the u32 length
             self._drop()
-            raise TransportError(f"response opcode {opcode} != request {expected_op}")
+            raise TransportError(f"response opcode {opcode} != request {frame[4]}")
         try:
             resp = wire.decode_response(opcode, payload)
-        except ProtocolError as exc:
+        except wire.ProtocolError as exc:
             self._drop()
             raise TransportError(f"response decode failed: {exc}") from exc
         if resp.status == wire.ST_INTERNAL:
@@ -241,10 +238,10 @@ class RemoteBackend:
         return resp
 
     def put(self, key: bytes, value: int) -> int | None:
-        return self._call(PutRequest(key, value)).old_value
+        return self._call(wire.PutRequest(key, value)).old_value
 
     def get(self, key: bytes) -> int | None:
-        resp = self._call(GetRequest(key))
+        resp = self._call(wire.GetRequest(key))
         return None if resp.status == wire.ST_NOT_FOUND else resp.value
 
     def scan(
@@ -255,13 +252,13 @@ class RemoteBackend:
         mx = _UNLIMITED if max_results is None else max_results
         if not 0 <= mx <= _UNLIMITED:
             raise ValueError("max_results out of u32 range")
-        return list(self._call(ScanRequest(start, end_exclusive, mx)).entries)
+        return list(self._call(wire.ScanRequest(start, end_exclusive, mx)).entries)
 
     def delete(self, key: bytes) -> bool:
-        return self._call(DeleteRequest(key)).removed
+        return self._call(wire.DeleteRequest(key)).removed
 
     def stats(self) -> IndexStats:
-        resp = self._call(StatsRequest())
+        resp = self._call(wire.StatsRequest())
         assert resp.stats is not None
         return resp.stats
 
@@ -281,11 +278,15 @@ class RemoteBackend:
         self.close()
 
 
+def parse_hostport(text: str) -> tuple[str, int]:
+    """'host:port' -> (host, port); ValueError if either part is missing."""
+    host, _, port = text.rpartition(":")
+    if not host or not port.isdigit():
+        raise ValueError(f"expected host:port, got {text!r}")
+    return host, int(port)
+
+
 def connect(endpoint: str | tuple[str, int], timeout: float = 1.0) -> RemoteBackend:
     """Remote backend for 'host:port' (or a (host, port) tuple)."""
-    if isinstance(endpoint, str):
-        host, _, port = endpoint.rpartition(":")
-        if not host or not port.isdigit():
-            raise ValueError(f"endpoint must be host:port, got {endpoint!r}")
-        return RemoteBackend(host, int(port), timeout)
-    return RemoteBackend(endpoint[0], endpoint[1], timeout)
+    host, port = parse_hostport(endpoint) if isinstance(endpoint, str) else endpoint
+    return RemoteBackend(host, port, timeout)

@@ -159,7 +159,7 @@ class _EntryCache:
             return
         ns, bid = key[:NAMESPACE_BYTES], int.from_bytes(key[NAMESPACE_BYTES:], "big")
         pins = self._pin_ids.setdefault(ns, [])
-        if bid in self._pinned_id_set(pins):
+        if bid in pins:  # sorted, tiny (<= pin_first_n); linear `in` is fine
             self._pinned.add(key)
             return
         if len(pins) < self.pin_first_n:
@@ -175,10 +175,6 @@ class _EntryCache:
             if entry is not None:
                 # Demoted entry becomes an ordinary eviction candidate.
                 heappush(self._heap, (entry[0], entry[1], entry[2], old_key))
-
-    @staticmethod
-    def _pinned_id_set(pins: list[int]) -> list[int]:
-        return pins  # sorted, tiny (<= pin_first_n); linear `in` is fine
 
     def touch(self, key: bytes) -> bool:
         """Access a key known to exist in the store. True iff it was resident
@@ -287,7 +283,6 @@ class HybridMetaStore:
     def put(self, key: bytes, value: int) -> int | None:
         """Map key to value; returns the previous value if the key existed."""
         with self._lock:
-            self._puts += 1
             prev = self._map.get(key)
             if prev is None:
                 if self._max_entries is not None and len(self._map) >= self._max_entries:
@@ -295,6 +290,7 @@ class HybridMetaStore:
                         f"store is bounded to {self._max_entries} entries"
                     )
                 insort(self._keys, key)
+            self._puts += 1
             self._map[key] = value
             if self._cache is not None:
                 self._cache.admit(key)

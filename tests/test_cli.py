@@ -42,8 +42,9 @@ class TestParseHelpers:
         assert parse_cache_config("") == CacheConfig()
 
     def test_cache_config_bad_item(self):
-        with pytest.raises(ValueError, match="bad cache config"):
-            parse_cache_config("nope=1")
+        for text in ("nope=1", "cap=4"):
+            with pytest.raises(ValueError, match="bad cache config"):
+                parse_cache_config(text)
 
     def test_make_backend_inproc(self):
         backend, desc = make_backend("inproc:capacity=4")

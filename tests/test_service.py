@@ -3,11 +3,12 @@ from __future__ import annotations
 import random
 import socket
 import threading
+import time
 
 import pytest
 
 from kvcmeta import protocol as wire
-from kvcmeta.service import RemoteBackend, TransportError, connect, serve
+from kvcmeta.service import RemoteBackend, StoreServer, TransportError, connect, serve
 from kvcmeta.store import BadRangeError, HybridMetaStore, encode_key
 from oracle_store import ModelStore
 
@@ -123,6 +124,99 @@ def test_malformed_payload_bad_request_and_connection_survives(server):
         opcode, payload = wire.read_frame(sock)
         assert opcode == wire.OP_STATS
         assert payload[0] == wire.ST_OK
+
+
+def test_oversized_frame_bad_request_then_dropped(server):
+    handle, _ = server
+    with socket.create_connection(handle.address, timeout=2.0) as sock:
+        sock.sendall((wire.MAX_PAYLOAD + 1).to_bytes(4, "big") + bytes([wire.OP_GET]))
+        assert wire.read_frame(sock) == (wire.OP_GET, bytes([wire.ST_BAD_REQUEST]))
+        assert wire.read_frame(sock) is None  # framing is lost: the server hangs up
+    with connect(handle.address) as backend:
+        assert backend.get(encode_key(NS, 1)) is None
+
+
+def test_oversized_response_header_is_transport_error_and_reconnects():
+    """A reply whose length header exceeds MAX_PAYLOAD desynchronizes the
+    connection: the client reports TransportError and reconnects next call."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)
+    accepted: list[int] = []
+
+    def fake_server() -> None:
+        replies = [(wire.MAX_PAYLOAD + 1).to_bytes(4, "big") + bytes([wire.OP_GET]),
+                   wire.encode_frame(wire.OP_GET, bytes([wire.ST_NOT_FOUND]))]
+        for reply in replies:
+            conn, _ = listener.accept()
+            with conn:
+                accepted.append(1)
+                wire.read_frame(conn)
+                conn.sendall(reply)
+                conn.recv(1)  # hold the connection until the client drops it
+
+    thread = threading.Thread(target=fake_server, daemon=True)
+    thread.start()
+    try:
+        with RemoteBackend(*listener.getsockname(), timeout=2.0) as backend:
+            with pytest.raises(TransportError):
+                backend.get(encode_key(NS, 1))
+            assert backend.get(encode_key(NS, 1)) is None
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert len(accepted) == 2
+    finally:
+        listener.close()
+
+
+def test_stop_drains_in_flight_and_wakes_idle_connections():
+    entered, release = threading.Event(), threading.Event()
+
+    class SlowStore(HybridMetaStore):
+        def get(self, key):
+            entered.set()
+            release.wait(5.0)
+            return super().get(key)
+
+    handle = serve(("127.0.0.1", 0), SlowStore())
+    conns = [socket.create_connection(handle.address, timeout=5.0) for _ in range(3)]
+    idle, half, busy = conns
+    try:
+        half.sendall(b"\x00\x00")  # half a frame header
+        busy.sendall(wire.encode_request(wire.GetRequest(encode_key(NS, 1))))
+        assert entered.wait(5.0)
+        stopper = threading.Thread(target=handle.stop)
+        started = time.monotonic()
+        stopper.start()
+        time.sleep(0.2)
+        release.set()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive()
+        assert time.monotonic() - started < 2.0
+        assert wire.read_frame(busy) == (wire.OP_GET, bytes([wire.ST_NOT_FOUND]))
+        assert wire.read_frame(idle) is None
+    finally:
+        release.set()
+        for conn in conns:
+            conn.close()
+
+
+def test_stop_cuts_off_a_peer_that_does_not_read_its_replies(monkeypatch):
+    monkeypatch.setattr(StoreServer, "DRAIN_S", 0.5)
+    store = HybridMetaStore()
+    for bid in range(1_000):
+        store.put(encode_key(NS, bid), bid)
+    handle = serve(("127.0.0.1", 0), store)
+    scan = wire.ScanRequest(encode_key(NS, 0), encode_key(NS, 1_000), 1_000)
+    with socket.create_connection(handle.address, timeout=5.0) as sock:
+        # 400 replies of 40 kB outgrow the socket buffers: the handler blocks sending.
+        sock.sendall(wire.encode_request(scan) * 400)
+        time.sleep(0.5)
+        stopper = threading.Thread(target=handle.stop, daemon=True)
+        started = time.monotonic()
+        stopper.start()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
+        assert time.monotonic() - started < 3.0
 
 
 def test_concurrent_connections_oracle_equivalence(server):

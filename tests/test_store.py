@@ -143,6 +143,7 @@ class TestBasicOps:
         s.put(encode_key(NS, 1), 9)  # overwrite is fine
         with pytest.raises(StoreCapacityError):
             s.put(encode_key(NS, 3), 3)
+        assert s.stats().puts == 3  # the rejected put is not counted
 
 
 class TestStats:
