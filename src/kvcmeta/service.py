@@ -136,10 +136,13 @@ class StoreServer:
     """A running store service; stop() drains in-flight requests."""
 
     DRAIN_S = 5.0  # how long stop() lets handlers finish before cutting them off
+    POLL_S = 0.05  # how often the accept loop checks for stop(); bounds its latency
 
     def __init__(self, address: tuple[str, int], backend: Backend):
         self._server = _TcpServer(address, _Handler, backend)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(self.POLL_S,), daemon=True
+        )
 
     @property
     def address(self) -> tuple[str, int]:

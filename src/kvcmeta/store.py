@@ -21,7 +21,8 @@ tier (hit/miss counters, eviction policy). Policies:
   half-life decay drive eviction (least-hot first, least-recent on ties),
   and per namespace the ``pin_first_n`` lowest block ids inserted so far are
   pinned, i.e. never evicted, capturing the persistently reused initial
-  prefix blocks.
+  prefix blocks. Pins never exceed the capacity over all namespaces, and
+  scores are rebased every 512 half-lives, so there is no uptime limit.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from hashlib import sha256
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 
 NAMESPACE_BYTES = 24
 KEY_BYTES = 32
 
 _LN2 = math.log(2.0)
+REBASE = 512  # half-lives between score rebases; 2^512 is far below the float max
 
 
 class BadRangeError(ValueError):
@@ -124,8 +126,10 @@ class _EntryCache:
     Hotness is kept as a sum of exponentially growing access weights
     2^(t/halflife): ratios between entries equal the ratios of their decayed
     counters, so no periodic decay sweep is needed. Eviction candidates live
-    in a lazy heap keyed (score, last_access, version); stale heap tuples are
-    skipped on pop via the version check.
+    in a lazy heap of (score, seq, key); a tuple is current iff seq is its
+    entry's last_seq. Scores only grow, so a stale tuple is a lower bound and
+    is re-filed at its entry's score when it reaches the top; the first
+    current tuple is then the unpinned entry with the least (score, last_seq).
     """
 
     def __init__(self, config: CacheConfig, clock=time.monotonic):
@@ -138,48 +142,44 @@ class _EntryCache:
         self._seq = 0
         # lru: recency order only.
         self._order: OrderedDict[bytes, None] = OrderedDict()
-        # lru_pin: key -> [score, last_seq, version]; lazy eviction heap.
+        # lru_pin: key -> [score, last_seq]; lazy eviction heap.
         self._entries: dict[bytes, list] = {}
-        self._heap: list[tuple[float, int, int, bytes]] = []
+        self._heap: list[tuple[float, int, bytes]] = []
         self._pin_ids: dict[bytes, list[int]] = {}
+        self._pin_count = 0  # ids over all pin lists, kept <= capacity
         self._pinned: set[bytes] = set()
 
     @property
     def size(self) -> int:
         return len(self._order) if self.policy == "lru" else len(self._entries)
 
-    def contains(self, key: bytes) -> bool:
-        return key in self._order if self.policy == "lru" else key in self._entries
-
-    def _weight(self) -> float:
-        return math.exp(_LN2 * (self._clock() - self._t0) / self.halflife)
-
     def _maybe_pin(self, key: bytes) -> None:
         if self.pin_first_n == 0:
             return
         ns, bid = key[:NAMESPACE_BYTES], int.from_bytes(key[NAMESPACE_BYTES:], "big")
-        pins = self._pin_ids.setdefault(ns, [])
+        pins = self._pin_ids.get(ns, [])
         if bid in pins:  # sorted, tiny (<= pin_first_n); linear `in` is fine
             self._pinned.add(key)
-            return
-        if len(pins) < self.pin_first_n:
-            insort(pins, bid)
+        elif len(pins) < self.pin_first_n and self._pin_count < self.capacity:
+            # Pins never exceed capacity, so eviction can always restore the bound.
+            insort(self._pin_ids.setdefault(ns, pins), bid)
+            self._pin_count += 1
             self._pinned.add(key)
-        elif bid < pins[-1]:
+        elif pins and bid < pins[-1]:
             displaced = pins.pop()
             insort(pins, bid)
             self._pinned.add(key)
-            old_key = key[:NAMESPACE_BYTES] + displaced.to_bytes(8, "big")
+            old_key = ns + displaced.to_bytes(8, "big")
             self._pinned.discard(old_key)
             entry = self._entries.get(old_key)
             if entry is not None:
                 # Demoted entry becomes an ordinary eviction candidate.
-                heappush(self._heap, (entry[0], entry[1], entry[2], old_key))
+                heappush(self._heap, (entry[0], entry[1], old_key))
 
     def touch(self, key: bytes) -> bool:
         """Access a key known to exist in the store. True iff it was resident
         (a cache hit); on a miss the entry is admitted."""
-        hit = self.contains(key)
+        hit = key in (self._order if self.policy == "lru" else self._entries)
         self._access(key)
         return hit
 
@@ -197,44 +197,42 @@ class _EntryCache:
                 self._order.popitem(last=False)
             return
 
+        now = self._clock()
+        if now - self._t0 > REBASE * self.halflife:
+            # ldexp by a power of two is exact (above subnormals) and never reorders.
+            shift = REBASE * int((now - self._t0) // (REBASE * self.halflife))
+            self._t0 += shift * self.halflife
+            for e in self._entries.values():
+                e[0] = math.ldexp(e[0], -shift)
+            self._heap = [(math.ldexp(s, -shift), q, k) for s, q, k in self._heap]
+        weight = math.exp(_LN2 * (now - self._t0) / self.halflife)
         self._seq += 1
         entry = self._entries.get(key)
-        if entry is None:
-            entry = self._entries[key] = [self._weight(), self._seq, 0]
-        else:
-            entry[0] += self._weight()
+        if entry is not None:
+            entry[0] += weight
             entry[1] = self._seq
-            entry[2] += 1
+            return
+        entries, heap = self._entries, self._heap
+        entries[key] = [weight, self._seq]
         if key not in self._pinned:
-            heappush(self._heap, (entry[0], entry[1], entry[2], key))
-        self._evict_over_capacity()
-        if len(self._heap) > 4 * len(self._entries) + 64:
-            self._rebuild_heap()
+            heappush(heap, (weight, self._seq, key))
+        while len(entries) > self.capacity and heap:
+            _, seq, victim = heap[0]
+            entry = entries.get(victim)
+            if entry is None or victim in self._pinned:
+                heappop(heap)
+            elif entry[1] != seq:
+                heapreplace(heap, (entry[0], entry[1], victim))
+            else:
+                heappop(heap)
+                del entries[victim]
+        self._trim_heap()
 
-    def _evict_over_capacity(self) -> None:
-        while len(self._entries) > self.capacity:
-            victim = self._pop_coldest()
-            if victim is None:
-                break  # every resident entry is pinned; capacity overshoot stays
-            del self._entries[victim]
-
-    def _pop_coldest(self) -> bytes | None:
-        while self._heap:
-            score, seq, version, key = heappop(self._heap)
-            entry = self._entries.get(key)
-            if entry is None or key in self._pinned:
-                continue
-            if entry[1] == seq and entry[2] == version and entry[0] == score:
-                return key
-        return None
-
-    def _rebuild_heap(self) -> None:
-        self._heap = [
-            (e[0], e[1], e[2], k)
-            for k, e in self._entries.items()
-            if k not in self._pinned
-        ]
-        heapify(self._heap)
+    def _trim_heap(self) -> None:
+        if len(self._heap) > 2 * len(self._entries) + 64:  # drop tuples of deleted keys
+            pinned = self._pinned
+            self._heap = [(e[0], e[1], k) for k, e in self._entries.items() if k not in pinned]
+            heapify(self._heap)
 
     def evict(self, key: bytes) -> None:
         if self.policy == "lru":
@@ -242,6 +240,7 @@ class _EntryCache:
         else:
             self._entries.pop(key, None)
             self._pinned.discard(key)
+            self._trim_heap()
             # Pin-list membership survives deletion: a re-inserted low id
             # re-pins, keeping the initial-prefix band stable within a run.
 

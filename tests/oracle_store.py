@@ -1,9 +1,11 @@
 """Naive sorted-association-list store: the reference model the real store
 is judged against. One flat sorted list of (key, value) associations; no
-hash directory, no cache, no hybrid anything."""
+hash directory, no cache, no hybrid anything. ``ModelHotTier`` is the
+matching brute-force reference for the ``lru_pin`` hot-tier counters."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 
 
@@ -59,3 +61,64 @@ class ModelStore:
 
     def entries(self):
         return list(zip(self._keys, self._values))
+
+
+class ModelHotTier:
+    """Brute-force reference for the ``lru_pin`` hot tier.
+
+    Same weight formula as the store; each eviction scans every resident for
+    the unpinned one with the least (score, last_seq). A key is pinned iff it
+    is in the store and its id is among the ``pin_first_n`` lowest ids ever
+    put in its namespace. Valid while namespaces x pin_first_n <= capacity
+    and the clock stays below 512 half-lives, where the store never rebases.
+    """
+
+    def __init__(self, capacity: int, pin_first_n: int, halflife: float, clock):
+        self.capacity = capacity
+        self.pin_first_n = pin_first_n
+        self.halflife = halflife
+        self.clock = clock
+        self.t0 = clock()
+        self.seq = 0
+        self.hits = 0
+        self.misses = 0
+        self.entries: dict[bytes, list] = {}  # key -> [score, last_seq]
+        self.stored: set[bytes] = set()
+        self.ids_put: dict[bytes, set[int]] = {}
+
+    @staticmethod
+    def _split(key: bytes) -> tuple[bytes, int]:
+        return key[:24], int.from_bytes(key[24:], "big")  # 24-byte namespace tag, BE id
+
+    def _pinned(self, key: bytes) -> bool:
+        ns, bid = self._split(key)
+        return key in self.stored and bid in sorted(self.ids_put[ns])[: self.pin_first_n]
+
+    def _access(self, key: bytes) -> None:
+        self.seq += 1
+        entry = self.entries.setdefault(key, [0.0, 0])
+        entry[0] += math.exp(math.log(2.0) * (self.clock() - self.t0) / self.halflife)
+        entry[1] = self.seq
+        if len(self.entries) > self.capacity:
+            victim = min((e[0], e[1], k) for k, e in self.entries.items() if not self._pinned(k))
+            del self.entries[victim[2]]
+
+    def put(self, key: bytes) -> None:
+        ns, bid = self._split(key)
+        self.stored.add(key)
+        self.ids_put.setdefault(ns, set()).add(bid)
+        self._access(key)
+
+    def get(self, key: bytes) -> None:
+        if key not in self.stored:
+            self.misses += 1
+            return
+        if key in self.entries:
+            self.hits += 1
+        else:
+            self.misses += 1
+        self._access(key)
+
+    def delete(self, key: bytes) -> None:
+        self.stored.discard(key)
+        self.entries.pop(key, None)

@@ -9,7 +9,7 @@ import pytest
 
 from kvcmeta import protocol as wire
 from kvcmeta.service import RemoteBackend, StoreServer, TransportError, connect, serve
-from kvcmeta.store import BadRangeError, HybridMetaStore, encode_key
+from kvcmeta.store import BadRangeError, CacheConfig, HybridMetaStore, encode_key
 from oracle_store import ModelStore
 
 NS = b"svc"
@@ -217,6 +217,28 @@ def test_stop_cuts_off_a_peer_that_does_not_read_its_replies(monkeypatch):
         stopper.join(timeout=10.0)
         assert not stopper.is_alive()
         assert time.monotonic() - started < 3.0
+
+
+def test_stop_with_an_idle_connection_is_prompt():
+    handle = serve(("127.0.0.1", 0), HybridMetaStore())
+    with socket.create_connection(handle.address, timeout=5.0) as idle:
+        idle.sendall(wire.encode_request(wire.GetRequest(encode_key(NS, 1))))
+        assert wire.read_frame(idle) == (wire.OP_GET, bytes([wire.ST_NOT_FOUND]))
+        started = time.monotonic()
+        handle.stop()
+        assert time.monotonic() - started < 0.25
+        assert wire.read_frame(idle) is None
+
+
+def test_served_lru_pin_store_outlives_a_thousand_half_lives():
+    cache = CacheConfig(capacity_entries=4, policy="lru_pin", pin_first_n=1, hotness_halflife_s=1.0)
+    now = [0.0]
+    store = HybridMetaStore(cache=cache, clock=lambda: now[0])
+    now[0] = 1_100.0  # seconds, i.e. 1,100 half-lives
+    key = encode_key(NS, 1)
+    with serve(("127.0.0.1", 0), store) as handle, connect(handle.address) as remote:
+        remote.put(key, 7)
+        assert remote.get(key) == 7
 
 
 def test_concurrent_connections_oracle_equivalence(server):

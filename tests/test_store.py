@@ -14,7 +14,7 @@ from kvcmeta.store import (
     encode_key,
     hash_key,
 )
-from oracle_store import ModelStore
+from oracle_store import ModelHotTier, ModelStore
 
 NS = b"ns-a"
 NS2 = b"ns-b"
@@ -390,6 +390,97 @@ class TestCachePolicies:
             s.put(encode_key(NS, bid), 0)
         assert s.stats().cache_entries <= 3
         assert s.stats().resident_entries == 50
+
+    @pytest.mark.parametrize("start_halflives", [1e4, 20 * 512 - 0.5])
+    def test_hotness_beats_recency_across_score_rebases(self, start_halflives):
+        # test_hotness_beats_recency_under_lru_pin, begun 10^4 half-lives after
+        # the store's origin; the second start puts a rebase between a and b.
+        clock = _FakeClock()
+        s = HybridMetaStore(
+            cache=CacheConfig(
+                capacity_entries=2, policy="lru_pin", pin_first_n=0, hotness_halflife_s=600.0
+            ),
+            clock=clock,
+        )
+        a, b, c = (encode_key(NS, i) for i in (100, 200, 300))
+        clock.now = start_halflives * 600.0
+        s.put(a, 0)
+        for _ in range(4):
+            s.get(a)
+        clock.now += 600.0
+        s.put(b, 0)
+        s.put(c, 0)
+        before = s.stats()
+        s.get(a)
+        s.get(c)
+        s.get(b)
+        after = s.stats()
+        assert after.cache_hits - before.cache_hits == 2
+        assert after.cache_misses - before.cache_misses == 1
+
+    def test_lru_pin_outlives_a_thousand_half_lives(self):
+        clock = _FakeClock()
+        s = HybridMetaStore(
+            cache=CacheConfig(
+                capacity_entries=4, policy="lru_pin", pin_first_n=1, hotness_halflife_s=1.0
+            ),
+            clock=clock,
+        )
+        clock.now = 1_100.0
+        key = encode_key(NS, 1)
+        assert s.put(key, 5) is None
+        assert s.get(key) == 5
+        assert s.stats().cache_hits == 1
+
+    def test_pins_never_exceed_capacity_under_hashed_keys(self):
+        # Every hashed key carries its own 24-byte "namespace", so each one
+        # would pin itself if pins were not bounded by the capacity.
+        s = HybridMetaStore(
+            cache=CacheConfig(capacity_entries=64, policy="lru_pin", pin_first_n=16)
+        )
+        for bid in range(5_000):
+            s.put(hash_key(NS, bid), bid)
+        assert s.stats().cache_entries <= 64
+
+
+_timed_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["put", "get", "delete"]),
+        st.sampled_from([NS, NS2]),
+        st.integers(min_value=0, max_value=15),  # few ids: reuse, evictions, pins
+        st.integers(min_value=0, max_value=4),  # clock advance in quarter half-lives
+    ),
+    min_size=20,
+    max_size=200,
+)
+
+
+@given(
+    _timed_ops,
+    st.sampled_from([(1, 0), (2, 1), (3, 1), (5, 2), (8, 4), (8, 0)]),  # 2 x pin <= capacity
+    st.sampled_from([0.5, 1.0, 600.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_lru_pin_matches_reference_hot_tier(ops, capacity_pin, halflife):
+    capacity, pin = capacity_pin
+    clock = _FakeClock()
+    store = HybridMetaStore(
+        cache=CacheConfig(capacity, "lru_pin", pin, hotness_halflife_s=halflife), clock=clock
+    )
+    model = ModelHotTier(capacity, pin, halflife, clock)
+    for op, ns, bid, quarters in ops:
+        clock.now += quarters * halflife / 4  # <= 200 half-lives: no rebase
+        key = encode_key(ns, bid)
+        if op == "put":
+            store.put(key, bid)
+        else:
+            getattr(store, op)(key)
+        getattr(model, op)(key)
+        stats = store.stats()
+        assert (stats.cache_hits, stats.cache_misses, stats.cache_entries) == (
+            model.hits, model.misses, len(model.entries)
+        )
+        assert len(store._cache._heap) <= 2 * stats.cache_entries + 64
 
 
 def test_concurrent_readers_and_writers_with_per_op_atomicity():
