@@ -227,7 +227,6 @@ def replay(
     time_scale: float = 1.0,
     workers: int = 1,
     abort_error_rate: float = 0.01,
-    clock=time.perf_counter_ns,
 ) -> LatencyLog:
     """Replay a compiled op stream against a backend.
 
@@ -258,6 +257,7 @@ def replay(
     start_ns = time.perf_counter_ns()
 
     def run_worker(wid: int) -> None:
+        clock = time.perf_counter_ns  # a local: read twice per op
         buf = buffers[wid]
         lag = lag_stats[wid]
         while True:
@@ -266,7 +266,7 @@ def replay(
                 return
             if schedule == "faithful":
                 target_ns = start_ns + int(op.issue_ms * time_scale * 1e6)
-                now = time.perf_counter_ns()
+                now = clock()
                 if now < target_ns:
                     time.sleep((target_ns - now) / 1e9)
                 else:

@@ -24,9 +24,6 @@ from .trace import TraceParseError, load_trace, save_trace
 
 log = logging.getLogger("kvcmeta")
 
-EXTERNAL_ADDR_ENV = "KVCMETA_EXTERNAL_ADDR"
-
-
 _CACHE_KEYS = {  # option name -> (CacheConfig field, converter)
     "policy": ("policy", str.strip),
     "capacity": ("capacity_entries", int),
@@ -63,8 +60,7 @@ def make_backend(spec: str, timeout: float = 1.0):
     if spec.startswith("external:"):
         from .external import ExternalBackend
 
-        addr = os.environ.get(EXTERNAL_ADDR_ENV) or spec[len("external:"):]
-        return ExternalBackend(addr), f"external:{addr}"
+        return ExternalBackend(spec[len("external:"):]), spec
     raise ValueError(f"unknown backend spec {spec!r}")
 
 

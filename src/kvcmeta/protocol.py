@@ -5,6 +5,11 @@ byte, then the payload (at most 16 MiB). Every request frame yields exactly
 one response frame on the same connection, carrying the request's opcode; the
 first response payload byte is a status code.
 
+One row of ``_OPS`` defines an opcode: its request message and layout, the
+``Backend`` method the server calls with the request's fields, its response
+message, which is always (status, that method's return value), the status
+of a ``None`` return value, and the codec of the response body.
+
 Request payloads (all integers big-endian, keys fixed 32 bytes, values u64):
 
     PUT    = 1   key(32) value(8)
@@ -22,7 +27,9 @@ INTERNAL=3):
     DELETE -> removed(u8)
     STATS  -> 8 x u64 counters in IndexStats field order
 
-Error statuses (BAD_REQUEST, INTERNAL) carry the status byte only.
+NOT_FOUND is GET-only: it answers a GET of an absent key, and a response of
+any other opcode that carries it is malformed. Error statuses (BAD_REQUEST,
+INTERNAL) carry the status byte only.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from __future__ import annotations
 import socket
 import struct
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .store import IndexStats, KEY_BYTES
 
@@ -46,12 +53,14 @@ ST_OK = 0
 ST_NOT_FOUND = 1
 ST_BAD_REQUEST = 2
 ST_INTERNAL = 3
+_ERRORS = (ST_BAD_REQUEST, ST_INTERNAL)
 
 _HEADER = struct.Struct(">IB")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _STATS = struct.Struct(">8Q")
 _KEY = f"{KEY_BYTES}s"
+_ENTRY = struct.Struct(f">{_KEY}Q")
 
 
 class ProtocolError(ValueError):
@@ -127,43 +136,114 @@ Request = PutRequest | GetRequest | ScanRequest | DeleteRequest | StatsRequest
 Response = PutResponse | GetResponse | ScanResponse | DeleteResponse | StatsResponse
 
 
+def _check_key(key: bytes, what: str = "key") -> None:
+    if len(key) != KEY_BYTES:
+        raise ProtocolError(f"{what} must be {KEY_BYTES} bytes, got {len(key)}")
+
+
+# Response bodies: each pair maps a Backend method's return value to and from
+# the bytes after the status byte; a decoder may raise struct.error.
+
+def _encode_put(old_value: int | None) -> bytes:
+    return b"\x00" if old_value is None else b"\x01" + _U64.pack(old_value)
+
+
+def _decode_put(body: bytes) -> int | None:
+    if body == b"\x00":
+        return None
+    if body[:1] != b"\x01":
+        raise ProtocolError("malformed PUT response")
+    return _U64.unpack(body[1:])[0]
+
+
+def _encode_get(value: int | None) -> bytes:
+    return b"" if value is None else _U64.pack(value)
+
+
+def _decode_get(body: bytes) -> int | None:
+    return _U64.unpack(body)[0] if body else None
+
+
+def _encode_scan(entries) -> bytes:
+    parts = [_U32.pack(len(entries))]
+    for key, value in entries:
+        if len(key) != KEY_BYTES:  # the struct code would pad or cut it silently
+            _check_key(key)
+        parts.append(_ENTRY.pack(key, value))
+    return b"".join(parts)
+
+
+def _decode_scan(body: bytes) -> tuple[tuple[bytes, int], ...]:
+    if len(body) != _U32.size + _U32.unpack_from(body)[0] * _ENTRY.size:
+        raise ProtocolError("SCAN response length mismatch")
+    return tuple(_ENTRY.iter_unpack(body[_U32.size:]))
+
+
+def _encode_delete(removed: bool) -> bytes:
+    return b"\x01" if removed else b"\x00"
+
+
+def _decode_delete(body: bytes) -> bool:
+    if body not in (b"\x00", b"\x01"):
+        raise ProtocolError("malformed DELETE response")
+    return body == b"\x01"
+
+
+def _encode_stats(stats: IndexStats) -> bytes:
+    return _STATS.pack(*stats.__dict__.values())  # dataclass fields, in wire order
+
+
+def _decode_stats(body: bytes) -> IndexStats:
+    return IndexStats(*_STATS.unpack(body))
+
+
 class _Op(NamedTuple):
-    """One opcode's message types and request layout."""
+    """One opcode: request layout, server method, response and its body codec."""
 
     opcode: int
     request: type
-    response: type
     payload: struct.Struct  # request payload, one code per field in field order
     header: bytes  # request frame header, fixed since the payload size is
-    keys: tuple[str, ...]  # fields that must be KEY_BYTES long
+    keys: tuple[str, ...]  # request fields that must be KEY_BYTES long
+    method: str  # the Backend method called with the request's fields
+    response: type  # (status, the method's return value)
+    absent: int  # the status of a None return value
+    encode_body: Callable[[Any], bytes]
+    decode_body: Callable[[bytes], Any]
+
+    def status_of(self, result: Any) -> int:
+        """The status of a non-error response carrying ``result``."""
+        return self.absent if result is None else ST_OK
 
 
-def _op(opcode: int, request: type, response: type, *layout: str) -> _Op:
-    """Table entry; ``layout`` is each request field's struct code, in field order."""
+def _op(opcode: int, request: type, layout: tuple[str, ...], method: str, response: type,
+        absent: int, encode_body: Callable[[Any], bytes],
+        decode_body: Callable[[bytes], Any]) -> _Op:
+    """Table row; ``layout`` is each request field's struct code, in field order."""
     names = [f.name for f in fields(request)]
     keys = tuple(n for n, code in zip(names, layout, strict=True) if code == _KEY)
     payload = struct.Struct(">" + "".join(layout))
-    return _Op(opcode, request, response, payload,
-               _HEADER.pack(payload.size, opcode), keys)
+    return _Op(opcode, request, payload, _HEADER.pack(payload.size, opcode), keys,
+               method, response, absent, encode_body, decode_body)
 
 
 _OPS = {
     op.opcode: op
     for op in (
-        _op(OP_PUT, PutRequest, PutResponse, _KEY, "Q"),
-        _op(OP_GET, GetRequest, GetResponse, _KEY),
-        _op(OP_SCAN, ScanRequest, ScanResponse, _KEY, _KEY, "I"),
-        _op(OP_DELETE, DeleteRequest, DeleteResponse, _KEY),
-        _op(OP_STATS, StatsRequest, StatsResponse),
+        _op(OP_PUT, PutRequest, (_KEY, "Q"), "put",
+            PutResponse, ST_OK, _encode_put, _decode_put),
+        _op(OP_GET, GetRequest, (_KEY,), "get",
+            GetResponse, ST_NOT_FOUND, _encode_get, _decode_get),
+        _op(OP_SCAN, ScanRequest, (_KEY, _KEY, "I"), "scan",
+            ScanResponse, ST_OK, _encode_scan, _decode_scan),
+        _op(OP_DELETE, DeleteRequest, (_KEY,), "delete",
+            DeleteResponse, ST_OK, _encode_delete, _decode_delete),
+        _op(OP_STATS, StatsRequest, (), "stats",
+            StatsResponse, ST_OK, _encode_stats, _decode_stats),
     )
 }
 _OP_OF_REQUEST = {op.request: op for op in _OPS.values()}
-
-
-def _check_key(key: bytes, what: str = "key") -> bytes:
-    if len(key) != KEY_BYTES:
-        raise ProtocolError(f"{what} must be {KEY_BYTES} bytes, got {len(key)}")
-    return key
+_OP_OF_RESPONSE = {op.response: op for op in _OPS.values()}
 
 
 def encode_frame(opcode: int, payload: bytes) -> bytes:
@@ -237,102 +317,36 @@ def decode_request(opcode: int, payload: bytes) -> Request:
 
 def encode_response(resp: Response) -> bytes:
     """Response payload bytes (status byte first)."""
-    status = bytes([resp.status])
-    if resp.status in (ST_BAD_REQUEST, ST_INTERNAL):
-        return status
-    if isinstance(resp, PutResponse):
-        if resp.old_value is None:
-            return status + b"\x00"
-        return status + b"\x01" + _U64.pack(resp.old_value)
-    if isinstance(resp, GetResponse):
-        if resp.status == ST_OK:
-            if resp.value is None:
-                raise ProtocolError("GET OK response requires a value")
-            return status + _U64.pack(resp.value)
-        return status
-    if isinstance(resp, ScanResponse):
-        parts = [status, _U32.pack(len(resp.entries))]
-        for key, value in resp.entries:
-            parts.append(_check_key(key))
-            parts.append(_U64.pack(value))
-        return b"".join(parts)
-    if isinstance(resp, DeleteResponse):
-        return status + (b"\x01" if resp.removed else b"\x00")
-    if isinstance(resp, StatsResponse):
-        if resp.stats is None:
-            raise ProtocolError("STATS OK response requires counters")
-        s = resp.stats
-        return status + _STATS.pack(
-            s.puts,
-            s.gets,
-            s.scans,
-            s.deletes,
-            s.cache_hits,
-            s.cache_misses,
-            s.resident_entries,
-            s.cache_entries,
-        )
-    raise ProtocolError(f"not a response message: {resp!r}")
+    op = _OP_OF_RESPONSE.get(type(resp))
+    if op is None:
+        raise ProtocolError(f"not a response message: {resp!r}")
+    status, result = resp.__dict__.values()  # set by the dataclass __init__
+    if status in _ERRORS:
+        return bytes([status])
+    if status != op.status_of(result):
+        raise ProtocolError(f"status {status} does not fit {resp!r}")
+    return bytes([status]) + op.encode_body(result)
 
 
 def decode_response(opcode: int, payload: bytes) -> Response:
     """Parse a response payload for the given request opcode."""
+    op = _OPS.get(opcode)
+    if op is None:
+        raise ProtocolError(f"unknown opcode {opcode}")
     if not payload:
         raise ProtocolError("empty response payload")
-    status = payload[0]
-    body = payload[1:]
-    if status in (ST_BAD_REQUEST, ST_INTERNAL):
+    status, body = payload[0], payload[1:]
+    if status in _ERRORS:
         if body:
             raise ProtocolError("error response carries no body")
-        op = _OPS.get(opcode)
-        if op is None:
-            raise ProtocolError(f"unknown opcode {opcode}")
         return op.response(status)
-    if status not in (ST_OK, ST_NOT_FOUND):
-        raise ProtocolError(f"unknown status {status}")
-
-    if opcode == OP_PUT:
-        if len(body) < 1:
-            raise ProtocolError("PUT response missing had_previous flag")
-        if body[0] == 0:
-            if len(body) != 1:
-                raise ProtocolError("PUT response trailing bytes")
-            return PutResponse(status)
-        if body[0] != 1 or len(body) != 9:
-            raise ProtocolError("malformed PUT response")
-        return PutResponse(status, _U64.unpack_from(body, 1)[0])
-    if opcode == OP_GET:
-        if status == ST_OK:
-            if len(body) != 8:
-                raise ProtocolError("GET OK response must carry 8 value bytes")
-            return GetResponse(status, _U64.unpack(body)[0])
-        if body:
-            raise ProtocolError("GET NOT_FOUND response carries no body")
-        return GetResponse(status)
-    if opcode == OP_SCAN:
-        if len(body) < 4:
-            raise ProtocolError("SCAN response missing count")
-        count = _U32.unpack_from(body)[0]
-        expected = 4 + count * (KEY_BYTES + 8)
-        if len(body) != expected:
-            raise ProtocolError("SCAN response length mismatch")
-        entries = []
-        off = 4
-        for _ in range(count):
-            key = body[off : off + KEY_BYTES]
-            value = _U64.unpack_from(body, off + KEY_BYTES)[0]
-            entries.append((key, value))
-            off += KEY_BYTES + 8
-        return ScanResponse(status, tuple(entries))
-    if opcode == OP_DELETE:
-        if len(body) != 1 or body[0] > 1:
-            raise ProtocolError("malformed DELETE response")
-        return DeleteResponse(status, bool(body[0]))
-    if opcode == OP_STATS:
-        if len(body) != _STATS.size:
-            raise ProtocolError(f"STATS response must carry {_STATS.size} bytes")
-        return StatsResponse(status, IndexStats(*_STATS.unpack(body)))
-    raise ProtocolError(f"unknown opcode {opcode}")
+    try:
+        result = op.decode_body(body)
+    except struct.error as exc:
+        raise ProtocolError(f"malformed {op.response.__name__}: {exc}") from exc
+    if status != op.status_of(result):
+        raise ProtocolError(f"status {status} does not fit a {op.response.__name__}")
+    return op.response(status, result)
 
 
 def error_response_frame(opcode: int, status: int) -> bytes:

@@ -48,24 +48,6 @@ class Backend(Protocol):
     def stats(self) -> IndexStats: ...
 
 
-def _apply(backend: Backend, opcode: int, req) -> wire.Response:
-    if opcode == wire.OP_PUT:
-        return wire.PutResponse(wire.ST_OK, backend.put(req.key, req.value))
-    if opcode == wire.OP_GET:
-        value = backend.get(req.key)
-        if value is None:
-            return wire.GetResponse(wire.ST_NOT_FOUND)
-        return wire.GetResponse(wire.ST_OK, value)
-    if opcode == wire.OP_SCAN:
-        entries = backend.scan(req.start, req.end_exclusive, req.max_results)
-        return wire.ScanResponse(wire.ST_OK, tuple(entries))
-    if opcode == wire.OP_DELETE:
-        return wire.DeleteResponse(wire.ST_OK, backend.delete(req.key))
-    if opcode == wire.OP_STATS:
-        return wire.StatsResponse(wire.ST_OK, backend.stats())
-    raise wire.ProtocolError(f"unhandled opcode {opcode}")
-
-
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         sock = self.request
@@ -87,8 +69,10 @@ class _Handler(socketserver.BaseRequestHandler):
             req = wire.decode_request(opcode, payload)
         except wire.ProtocolError:
             return wire.error_response_frame(opcode, wire.ST_BAD_REQUEST)
+        op = wire._OPS[opcode]
         try:
-            resp = _apply(backend, opcode, req)
+            result = getattr(backend, op.method)(*req.__dict__.values())  # fields in order
+            resp = op.response(op.status_of(result), result)
             return wire.encode_frame(opcode, wire.encode_response(resp))
         except BadRangeError:
             return wire.error_response_frame(opcode, wire.ST_BAD_REQUEST)
@@ -213,7 +197,8 @@ class RemoteBackend:
                 if sock in self._conns:
                     self._conns.remove(sock)
 
-    def _call(self, req: wire.Request) -> wire.Response:
+    def _call(self, req: wire.Request):
+        """One exchange; returns the backend method's result that the reply carries."""
         frame = wire.encode_request(req)
         sock = self._conn()
         try:
@@ -234,18 +219,18 @@ class RemoteBackend:
         except wire.ProtocolError as exc:
             self._drop()
             raise TransportError(f"response decode failed: {exc}") from exc
-        if resp.status == wire.ST_INTERNAL:
+        status, result = resp.__dict__.values()  # set by the dataclass __init__
+        if status == wire.ST_INTERNAL:
             raise TransportError("server reported an internal error")
-        if resp.status == wire.ST_BAD_REQUEST:
+        if status == wire.ST_BAD_REQUEST:
             raise TransportError("server rejected the request as malformed")
-        return resp
+        return result
 
     def put(self, key: bytes, value: int) -> int | None:
-        return self._call(wire.PutRequest(key, value)).old_value
+        return self._call(wire.PutRequest(key, value))
 
     def get(self, key: bytes) -> int | None:
-        resp = self._call(wire.GetRequest(key))
-        return None if resp.status == wire.ST_NOT_FOUND else resp.value
+        return self._call(wire.GetRequest(key))
 
     def scan(
         self, start: bytes, end_exclusive: bytes, max_results: int | None = None
@@ -255,15 +240,13 @@ class RemoteBackend:
         mx = _UNLIMITED if max_results is None else max_results
         if not 0 <= mx <= _UNLIMITED:
             raise ValueError("max_results out of u32 range")
-        return list(self._call(wire.ScanRequest(start, end_exclusive, mx)).entries)
+        return list(self._call(wire.ScanRequest(start, end_exclusive, mx)))
 
     def delete(self, key: bytes) -> bool:
-        return self._call(wire.DeleteRequest(key)).removed
+        return self._call(wire.DeleteRequest(key))
 
     def stats(self) -> IndexStats:
-        resp = self._call(wire.StatsRequest())
-        assert resp.stats is not None
-        return resp.stats
+        return self._call(wire.StatsRequest())
 
     def close(self) -> None:
         with self._conns_lock:

@@ -1,0 +1,72 @@
+"""The benchmark under perfbench/ binds to the package by name: its traced
+run swaps the ``protocol`` functions it lists for timing wrappers, and its
+microbenchmarks call the codec directly. These tests fail when a change to
+the package breaks that binding, which would otherwise only show as missing
+or zero per-layer metrics in a traced run."""
+
+from __future__ import annotations
+
+import importlib
+import random
+import sys
+import threading
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import kvcmeta
+from kvcmeta import protocol as wire
+from kvcmeta.service import connect, serve
+from kvcmeta.store import HybridMetaStore, encode_key
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """Imports a perfbench module by name; drops every perfbench module
+    from ``sys.modules`` and restores ``sys.path`` afterwards."""
+    monkeypatch.setattr(sys, "path", [str(PERFBENCH), *sys.path])
+    yield importlib.import_module
+    for name, module in list(sys.modules.items()):
+        if Path(getattr(module, "__file__", None) or "/").parent == PERFBENCH:
+            del sys.modules[name]
+
+
+def test_traced_codec_functions_are_called_through_the_module(perfbench, monkeypatch):
+    """Each traced name is a protocol function that the client (this thread)
+    or the server (its handler thread) calls through the module at call time."""
+    sides = {"client": perfbench("run").CLIENT_CODEC, "server": perfbench("server").SERVER_CODEC}
+    calls = Counter()
+    me = threading.get_ident()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls["client" if threading.get_ident() == me else "server", name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in {name for names in sides.values() for name in names}:
+        fn = getattr(wire, name, None)
+        assert callable(fn), f"perfbench traces protocol.{name}, which is missing"
+        monkeypatch.setattr(wire, name, counted(name, fn))
+    key = encode_key(b"pb", 1)
+    with serve(("127.0.0.1", 0), HybridMetaStore()) as handle:
+        with connect(handle.address) as remote:
+            remote.put(key, 1)
+            assert remote.get(key) == 1
+            assert remote.scan(key, encode_key(b"pb", 2)) == [(key, 1)]
+    for side, names in sides.items():
+        for name in names:
+            assert calls[side, name] == 3, f"the {side} did not call protocol.{name}"
+
+
+def test_wire_codec_microbenchmark_runs(perfbench, monkeypatch):
+    micro = perfbench("micro")
+    monkeypatch.setattr(micro, "CALLS", 40)
+    monkeypatch.setattr(micro, "REPEATS", 1)
+    out = micro.wire_codec(kvcmeta, random.Random(1))
+    assert sorted(out) == ["protocol.decode_get_ns", "protocol.decode_scan16_ns",
+                           "protocol.encode_get_ns", "protocol.encode_scan16_ns"]
+    assert all(value > 0 for value in out.values())

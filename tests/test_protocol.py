@@ -239,6 +239,23 @@ def test_malformed_responses_rejected():
         wire.decode_response(wire.OP_GET, b"\x09")  # unknown status
 
 
+def test_not_found_is_get_only():
+    """A body that is well formed under OK is malformed under NOT_FOUND on
+    every opcode but GET, in both directions."""
+    cases = [
+        (wire.OP_PUT, b"\x00", wire.PutResponse(wire.ST_NOT_FOUND)),
+        (wire.OP_SCAN, b"\x00\x00\x00\x00", wire.ScanResponse(wire.ST_NOT_FOUND)),
+        (wire.OP_DELETE, b"\x01", wire.DeleteResponse(wire.ST_NOT_FOUND, True)),
+        (wire.OP_STATS, bytes(64), wire.StatsResponse(wire.ST_NOT_FOUND, IndexStats())),
+    ]
+    for opcode, body, resp in cases:
+        assert type(wire.decode_response(opcode, b"\x00" + body)) is type(resp)
+        with pytest.raises(wire.ProtocolError):
+            wire.decode_response(opcode, bytes([wire.ST_NOT_FOUND]) + body)
+        with pytest.raises(wire.ProtocolError):
+            wire.encode_response(resp)
+
+
 def test_error_response_frame_echoes_opcode():
     frame = wire.error_response_frame(0xFF, wire.ST_BAD_REQUEST)
     opcode, payload, _ = wire.decode_frame(frame)
