@@ -29,6 +29,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .analysis import segment_runs
 from .store import encode_key, hash_key
@@ -57,7 +58,7 @@ class ReplayAborted(RuntimeError):
         self.log = log
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MetadataOp:
     """One compiled benchmark operation.
 
@@ -91,7 +92,7 @@ class OpStream:
         return sum(op.span for op in self.ops)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LatencyRecord:
     op_kind: str
     issue_ms: int
@@ -105,12 +106,7 @@ class LatencyLog:
 
     records: list[LatencyRecord] = field(default_factory=list)
     max_sched_lag_ns: int = 0
-    total_sched_lag_ns: int = 0
     errors: int = 0
-
-    @property
-    def mean_sched_lag_ns(self) -> float:
-        return self.total_sched_lag_ns / len(self.records) if self.records else 0.0
 
 
 def _key_fn(key_scheme: str, namespace: bytes | str):
@@ -190,24 +186,17 @@ def _read_ops(start_id: int, length: int, t: int, ordinal: int, make_key, scans_
 def _insert_on_miss_ops(
     start_id: int, length: int, t: int, ordinal: int, seen: set[int], make_key, scans_enabled: bool
 ):
-    # Walk the run left to right, splitting around never-seen ids, which
-    # compile to inserts; contiguous already-seen stretches become reads.
-    pending_start: int | None = None
-    pending_len = 0
-    for bid in range(start_id, start_id + length):
-        if bid in seen:
-            if pending_start is None:
-                pending_start = bid
-                pending_len = 0
-            pending_len += 1
-        else:
-            if pending_start is not None:
-                yield from _read_ops(pending_start, pending_len, t, ordinal, make_key, scans_enabled)
-                pending_start = None
+    # Never-seen ids compile to inserts; each stretch of already-seen ids
+    # becomes reads. A run's ids are distinct, so marking one id seen never
+    # moves a later id of the run into the other group.
+    for was_seen, group in groupby(range(start_id, start_id + length), seen.__contains__):
+        if was_seen:
+            bids = list(group)
+            yield from _read_ops(bids[0], len(bids), t, ordinal, make_key, scans_enabled)
+            continue
+        for bid in group:
             seen.add(bid)
             yield MetadataOp(INSERT, t, ordinal, key=make_key(bid), value=bid)
-    if pending_start is not None:
-        yield from _read_ops(pending_start, pending_len, t, ordinal, make_key, scans_enabled)
 
 
 def _execute(op: MetadataOp, backend) -> str:
@@ -247,21 +236,24 @@ def replay(
     for key, value in opstream.preload:
         backend.put(key, value)
 
-    ops = opstream.ops
-    total = len(ops)
+    ops = iter(opstream.ops)
+    total = len(opstream.ops)
     error_budget = max(1, math.ceil(abort_error_rate * total)) if total else 0
-    state = _ReplayState(error_budget)
+    lock = threading.Lock()  # guards ops and log.errors
+    log = LatencyLog()
     buffers: list[list[LatencyRecord]] = [[] for _ in range(workers)]
-    lag_stats = [[0, 0] for _ in range(workers)]  # [max_lag, total_lag]
+    max_lag = [0] * workers
 
     start_ns = time.perf_counter_ns()
 
     def run_worker(wid: int) -> None:
         clock = time.perf_counter_ns  # a local: read twice per op
-        buf = buffers[wid]
-        lag = lag_stats[wid]
+        append = buffers[wid].append
         while True:
-            op = state.next_op(ops)
+            with lock:
+                if log.errors > error_budget:
+                    return
+                op = next(ops, None)
             if op is None:
                 return
             if schedule == "faithful":
@@ -269,24 +261,19 @@ def replay(
                 now = clock()
                 if now < target_ns:
                     time.sleep((target_ns - now) / 1e9)
-                else:
-                    late = now - target_ns
-                    if late > lag[0]:
-                        lag[0] = late
-                    lag[1] += late
+                elif now - target_ns > max_lag[wid]:
+                    max_lag[wid] = now - target_ns
             t0 = clock()
             try:
                 outcome = _execute(op, backend)
             except Exception as exc:
                 t1 = clock()
-                buf.append(
-                    LatencyRecord(op.kind, op.issue_ms, max(1, t1 - t0), f"error:{type(exc).__name__}")
-                )
-                if state.record_error():
-                    return
-                continue
-            t1 = clock()
-            buf.append(LatencyRecord(op.kind, op.issue_ms, max(1, t1 - t0), outcome))
+                outcome = f"error:{type(exc).__name__}"
+                with lock:
+                    log.errors += 1
+            else:
+                t1 = clock()
+            append(LatencyRecord(op.kind, op.issue_ms, max(1, t1 - t0), outcome))
 
     if workers == 1:
         run_worker(0)
@@ -297,48 +284,19 @@ def replay(
         for th in threads:
             th.join()
 
-    log = LatencyLog()
     for buf in buffers:
         log.records.extend(buf)
     if workers > 1:
         log.records.sort(key=lambda r: r.issue_ms)
-    log.errors = sum(1 for r in log.records if r.outcome.startswith("error"))
-    log.max_sched_lag_ns = max(ls[0] for ls in lag_stats)
-    log.total_sched_lag_ns = sum(ls[1] for ls in lag_stats)
+    log.max_sched_lag_ns = max(max_lag)
 
-    if state.aborted:
+    if log.errors > error_budget:
         raise ReplayAborted(
             f"error budget exhausted: {log.errors} errors over {len(log.records)} completed ops "
             f"(threshold {abort_error_rate:.2%} of {total})",
             log,
         )
     return log
-
-
-class _ReplayState:
-    """Shared cursor + error budget for replay workers."""
-
-    def __init__(self, error_budget: int):
-        self._lock = threading.Lock()
-        self._next = 0
-        self._errors = 0
-        self._budget = error_budget
-        self.aborted = False
-
-    def next_op(self, ops):
-        with self._lock:
-            if self.aborted or self._next >= len(ops):
-                return None
-            op = ops[self._next]
-            self._next += 1
-            return op
-
-    def record_error(self) -> bool:
-        with self._lock:
-            self._errors += 1
-            if self._errors > self._budget:
-                self.aborted = True
-            return self.aborted
 
 
 def percentile(samples, q: float):

@@ -74,59 +74,59 @@ class ProtocolError(ValueError):
         self.opcode = opcode
 
 
-@dataclass(frozen=True)
+@dataclass
 class PutRequest:
     key: bytes
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class GetRequest:
     key: bytes
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScanRequest:
     start: bytes
     end_exclusive: bytes
     max_results: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class DeleteRequest:
     key: bytes
 
 
-@dataclass(frozen=True)
+@dataclass
 class StatsRequest:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass
 class PutResponse:
     status: int
     old_value: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class GetResponse:
     status: int
     value: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScanResponse:
     status: int
     entries: tuple[tuple[bytes, int], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass
 class DeleteResponse:
     status: int
     removed: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass
 class StatsResponse:
     status: int
     stats: IndexStats | None = None
@@ -252,6 +252,15 @@ def encode_frame(opcode: int, payload: bytes) -> bytes:
     return _HEADER.pack(len(payload), opcode) + payload
 
 
+def _parse_header(buf: bytes) -> tuple[int, int]:
+    """(payload length, opcode) of the header at the head of buf; raises
+    ProtocolError carrying the opcode if the length exceeds MAX_PAYLOAD."""
+    length, opcode = _HEADER.unpack_from(buf)
+    if length > MAX_PAYLOAD:
+        raise ProtocolError(f"frame length {length} exceeds {MAX_PAYLOAD}", opcode)
+    return length, opcode
+
+
 def decode_frame(buf: bytes) -> tuple[int, bytes, int]:
     """Decode one frame from the head of buf: (opcode, payload, bytes consumed).
 
@@ -259,9 +268,7 @@ def decode_frame(buf: bytes) -> tuple[int, bytes, int]:
     """
     if len(buf) < _HEADER.size:
         raise ProtocolError("truncated frame header")
-    length, opcode = _HEADER.unpack_from(buf)
-    if length > MAX_PAYLOAD:
-        raise ProtocolError(f"frame length {length} exceeds {MAX_PAYLOAD}")
+    length, opcode = _parse_header(buf)
     end = _HEADER.size + length
     if len(buf) < end:
         raise ProtocolError("truncated frame payload")
@@ -288,9 +295,7 @@ def read_frame(sock: socket.socket) -> tuple[int, bytes] | None:
             got += len(part)
         if opcode is not None:
             return opcode, b"".join(chunks)
-        length, opcode = _HEADER.unpack(b"".join(chunks))
-        if length > MAX_PAYLOAD:
-            raise ProtocolError(f"frame length {length} exceeds {MAX_PAYLOAD}", opcode)
+        length, opcode = _parse_header(b"".join(chunks))
         chunks, got, want = [], 0, length
 
 

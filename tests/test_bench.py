@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +18,7 @@ from kvcmeta.bench import (
     IntervalStats,
     LatencyLog,
     LatencyRecord,
+    MetadataOp,
     ReplayAborted,
     compile_ops,
     interval_stats,
@@ -21,7 +26,8 @@ from kvcmeta.bench import (
     percentile,
     replay,
 )
-from kvcmeta.store import HybridMetaStore, decode_key, encode_key
+from kvcmeta.analysis import segment_runs
+from kvcmeta.store import HybridMetaStore, decode_key, encode_key, hash_key
 from kvcmeta.trace import Trace, TraceRequest
 
 NS = b"bench"
@@ -120,6 +126,60 @@ class TestCompileInsertOnMiss:
             (RANGE_SCAN, 1, 3), (POINT_GET, 9),
             (INSERT, 100), (INSERT, 101),
         ]
+
+
+def _reference_insert_on_miss(trace, namespace, chunk_split, key_scheme):
+    """``compile_ops(mode="insert_on_miss")`` as a left-to-right walk of each
+    run that splits it around never-seen ids: the reference for the grouped
+    implementation."""
+    key_of = encode_key if key_scheme == "ordered" else hash_key
+    ops: list[MetadataOp] = []
+    seen: set[int] = set()
+
+    def reads(start, length, t, ordinal):
+        if length >= 2 and key_scheme == "ordered":
+            ops.append(MetadataOp(RANGE_SCAN, t, ordinal, start=key_of(namespace, start),
+                                  end_exclusive=key_of(namespace, start + length), span=length))
+        else:
+            ops.extend(MetadataOp(POINT_GET, t, ordinal, key=key_of(namespace, bid))
+                       for bid in range(start, start + length))
+
+    for ordinal, req in enumerate(trace.requests):
+        t = req.arrival_ms
+        ids = [b * chunk_split + j for b in req.block_ids for j in range(chunk_split)]
+        for run in segment_runs(ids):
+            pending_start, pending_len = None, 0
+            for bid in range(run.start_id, run.start_id + run.length):
+                if bid in seen:
+                    if pending_start is None:
+                        pending_start, pending_len = bid, 0
+                    pending_len += 1
+                else:
+                    if pending_start is not None:
+                        reads(pending_start, pending_len, t, ordinal)
+                        pending_start = None
+                    seen.add(bid)
+                    ops.append(MetadataOp(INSERT, t, ordinal, key=key_of(namespace, bid), value=bid))
+            if pending_start is not None:
+                reads(pending_start, pending_len, t, ordinal)
+    return ops
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=30), max_size=12),
+        min_size=1,
+        max_size=10,
+    ),
+    st.sampled_from(["ordered", "hashed"]),
+    st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_insert_on_miss_matches_reference_walk(id_lists, key_scheme, k):
+    trace = _trace([(i, ids) for i, ids in enumerate(id_lists)])
+    stream = compile_ops(trace, mode="insert_on_miss", namespace=NS, chunk_split=k,
+                         key_scheme=key_scheme)
+    assert stream.ops == _reference_insert_on_miss(trace, NS, k, key_scheme)
 
 
 class TestCompileGeneric:
@@ -255,6 +315,54 @@ class TestReplay:
         assert len(log.records) == len(stream.ops)
         assert log.errors == 1
         assert sum(1 for r in log.records if r.outcome == "error:TimeoutError") == 1
+
+    def test_shared_cursor_and_error_count_under_thread_switching(self):
+        """Eight workers, switching threads as often as the interpreter lets
+        them: every op runs exactly once and every error is counted."""
+
+        class EveryThirdGetFails:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.gets = Counter()
+                self.calls = 0
+                self.raised = 0
+
+            def put(self, key, value):
+                return None
+
+            def get(self, key):
+                with self.lock:
+                    self.gets[key] += 1
+                    self.calls += 1
+                    fail = self.calls % 3 == 0
+                    self.raised += fail
+                time.sleep(0)  # lets the GIL go, so that all eight workers interleave
+                if fail:
+                    raise TimeoutError("every third get")
+                return 1
+
+        # Ids two apart: every op is a point get of its own key.
+        trace = _trace([(i, range(40 * i, 40 * i + 40, 2)) for i in range(60)])
+        stream = compile_ops(trace, mode="preload", namespace=NS)
+        backend = EveryThirdGetFails()
+        result = {}
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: result.update(log=replay(stream, backend, workers=8,
+                                                        abort_error_rate=1.0)))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not runner.is_alive(), "replay did not finish within 60 s"
+        log = result["log"]
+        assert len(stream.ops) == 1200
+        assert backend.gets == Counter(op.key for op in stream.ops)
+        assert len(log.records) == len(stream.ops)
+        errors = sum(1 for r in log.records if r.outcome.startswith("error:"))
+        assert log.errors == errors == backend.raised == 400
 
     def test_bad_args(self, fixture_trace):
         stream = compile_ops(fixture_trace, namespace=NS)

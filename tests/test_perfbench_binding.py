@@ -6,19 +6,22 @@ or zero per-layer metrics in a traced run."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import random
 import sys
 import threading
+from array import array
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import kvcmeta
-from kvcmeta import protocol as wire
+from kvcmeta import bench, protocol as wire
 from kvcmeta.service import connect, serve
 from kvcmeta.store import HybridMetaStore, encode_key
+from kvcmeta.trace import Trace, TraceRequest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -70,3 +73,38 @@ def test_wire_codec_microbenchmark_runs(perfbench, monkeypatch):
     assert sorted(out) == ["protocol.decode_get_ns", "protocol.decode_scan16_ns",
                            "protocol.encode_get_ns", "protocol.encode_scan16_ns"]
     assert all(value > 0 for value in out.values())
+
+
+def test_phase_absorbs_replay_records(perfbench):
+    """perfbench's ``Phase`` reads each record's ``outcome`` and
+    ``latency_ns``, from a finished replay and from the partial log of one
+    that ran out of its error budget."""
+    run = perfbench("run")
+    trace = Trace((TraceRequest(0, 1, 1, (1, 2, 3, 7)), TraceRequest(5, 1, 1, (9,))))
+    stream = bench.compile_ops(trace, namespace=b"pb")
+    assert [op.kind for op in stream.ops] == [bench.RANGE_SCAN, bench.POINT_GET, bench.POINT_GET]
+    without_9 = dataclasses.replace(stream, preload=stream.preload[:-1])
+    records = bench.replay(without_9, HybridMetaStore()).records
+    assert [r.outcome for r in records] == ["ok", "ok", "miss"]
+
+    class Exploding:
+        def put(self, key, value):
+            return None
+
+        def get(self, key):
+            raise TimeoutError("boom")
+
+        def scan(self, start, end_exclusive, max_results=None):
+            raise TimeoutError("boom")
+
+    with pytest.raises(bench.ReplayAborted) as exc:
+        bench.replay(stream, Exploding())
+    aborted = exc.value.log.records
+    assert [r.outcome for r in aborted] == ["error:TimeoutError"] * 2
+
+    for recs, failed in ((records, 1), (aborted, 2)):
+        phase = run.Phase()
+        phase.absorb(0, recs, 1_000, 0.0, -1)
+        assert (phase.attempted, phase.failed) == (len(recs), failed)
+        assert phase.replays[0].latency_ns == array("q", (r.latency_ns for r in recs))
+        assert all(ns > 0 for ns in phase.replays[0].latency_ns)

@@ -36,8 +36,9 @@ class TestFraming:
 
     def test_oversized_length_rejected_on_decode(self):
         bad = (wire.MAX_PAYLOAD + 1).to_bytes(4, "big") + b"\x01"
-        with pytest.raises(wire.ProtocolError, match="exceeds"):
+        with pytest.raises(wire.ProtocolError, match="exceeds") as exc:
             wire.decode_frame(bad)
+        assert exc.value.opcode == 1
 
 
 class TestRequestGoldenBytes:
