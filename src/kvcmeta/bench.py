@@ -222,9 +222,13 @@ def replay(
     The preload set is installed before timing starts. Schedule ``faithful``
     dispatches each op no earlier than issue_ms * time_scale after replay
     start (late dispatch is recorded as scheduling lag); ``closed_loop``
-    ignores issue times and keeps exactly ``workers`` ops in flight. Per-op
-    failures are recorded as error outcomes; once errors exceed
-    abort_error_rate * total ops, the replay aborts with ReplayAborted.
+    ignores issue times. ``workers`` threads pull ops from one shared
+    cursor. Against an in-process backend, which never releases the GIL,
+    ``workers > 1`` still runs one op at a time: a worker runs hundreds of
+    ops before the next gets a turn, so its latencies include thread
+    hand-offs, not contention. Per-op failures are recorded as error
+    outcomes; once errors exceed abort_error_rate * total ops, the replay
+    aborts with ReplayAborted.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

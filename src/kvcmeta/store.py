@@ -23,6 +23,12 @@ tier (hit/miss counters, eviction policy). Policies:
   pinned, i.e. never evicted, capturing the persistently reused initial
   prefix blocks. Pins never exceed the capacity over all namespaces, and
   scores are rebased every 512 half-lives, so there is no uptime limit.
+
+The hot tier needs a non-decreasing clock for its speed (the default is
+``time.monotonic``): ``lru_pin`` takes most victims in O(1) from a queue
+of entries accessed once, which is in eviction order only while weights do
+not fall in admission order. A clock that steps back sends admissions to
+the slower heap until it passes its earlier reading; victims stay the same.
 """
 
 from __future__ import annotations
@@ -31,10 +37,11 @@ import math
 import threading
 import time
 from bisect import bisect_left, insort
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from hashlib import sha256
 from heapq import heapify, heappop, heappush, heapreplace
+from math import exp
 
 NAMESPACE_BYTES = 24
 KEY_BYTES = 32
@@ -120,38 +127,78 @@ class IndexStats:
     cache_entries: int = 0
 
 
-class _EntryCache:
-    """Residency model for the hot tier; answers never come from here.
+class _LruTier:
+    """``lru`` residency model: recency order only."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._order: OrderedDict[bytes, None] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def touch(self, key: bytes) -> bool:
+        """As ``_PinTier.touch``."""
+        order = self._order
+        if key in order:
+            order.move_to_end(key)
+            return True
+        order[key] = None
+        if len(order) > self.capacity:
+            order.popitem(last=False)
+        return False
+
+    admit = touch  # a write refreshes residency like a read; no hit accounting
+
+    def evict(self, key: bytes) -> None:
+        self._order.pop(key, None)
+
+
+class _PinTier:
+    """``lru_pin`` residency model: decayed hotness scores plus pinned ids.
 
     Hotness is kept as a sum of exponentially growing access weights
     2^(t/halflife): ratios between entries equal the ratios of their decayed
-    counters, so no periodic decay sweep is needed. Eviction candidates live
-    in a lazy heap of (score, seq, key); a tuple is current iff seq is its
-    entry's last_seq. Scores only grow, so a stale tuple is a lower bound and
-    is re-filed at its entry's score when it reaches the top; the first
-    current tuple is then the unpinned entry with the least (score, last_seq).
+    counters, so no periodic decay sweep is needed. The victim is the
+    unpinned entry with the least (score, last_seq). Each unpinned entry has
+    at least one representative whose (score, seq) is a lower bound of its
+    own, in one of two lazy queues; an item is current iff its seq is still
+    its entry's last_seq, and a stale item is re-filed in the heap at its
+    entry's score when it reaches a head:
+
+    * ``_fifo``, (seq, key) items appended at admission. Under a
+      non-decreasing clock weights do not fall in admission order, so the
+      FIFO is sorted by (weight, seq) and a current item, an entry accessed
+      once, is its own lower bound. An admission lighter than the last item
+      appended (the clock stepped back) goes to the heap instead, so the
+      order holds for any clock.
+    * ``_heap``, (score, seq, key) tuples of entries accessed again, of
+      demoted pins and of admissions while the clock stepped back. Scores
+      only grow, so a stale tuple is a lower bound.
+
+    The victim is the lesser of the current FIFO head and the current heap
+    top, so an entry evicted after one access, the common case under a
+    working set larger than the tier, leaves in O(1).
     """
 
-    def __init__(self, config: CacheConfig, clock=time.monotonic):
+    def __init__(self, config: CacheConfig, clock):
         self.capacity = config.capacity_entries
-        self.policy = config.policy
-        self.pin_first_n = config.pin_first_n if config.policy == "lru_pin" else 0
+        self.pin_first_n = config.pin_first_n
         self.halflife = config.hotness_halflife_s
+        self._rebase_span = REBASE * self.halflife
         self._clock = clock
         self._t0 = clock()
         self._seq = 0
-        # lru: recency order only.
-        self._order: OrderedDict[bytes, None] = OrderedDict()
-        # lru_pin: key -> [score, last_seq]; lazy eviction heap.
-        self._entries: dict[bytes, list] = {}
+        self._entries: dict[bytes, list] = {}  # key -> [score, last_seq]
+        self._fifo: deque[tuple[int, bytes]] = deque()
+        self._fifo_weight = 0.0  # weight of the last item appended to _fifo
         self._heap: list[tuple[float, int, bytes]] = []
         self._pin_ids: dict[bytes, list[int]] = {}
         self._pin_count = 0  # ids over all pin lists, kept <= capacity
         self._pinned: set[bytes] = set()
 
-    @property
-    def size(self) -> int:
-        return len(self._order) if self.policy == "lru" else len(self._entries)
+    def __len__(self) -> int:
+        return len(self._entries)
 
     def _maybe_pin(self, key: bytes) -> None:
         if self.pin_first_n == 0:
@@ -176,73 +223,93 @@ class _EntryCache:
                 # Demoted entry becomes an ordinary eviction candidate.
                 heappush(self._heap, (entry[0], entry[1], old_key))
 
+    def admit(self, key: bytes) -> None:
+        """Install/refresh residency on a write; no hit/miss accounting."""
+        if key not in self._entries:
+            # Pins are decided when a write admits a key; for a resident key
+            # the test is a no-op. Pin lists only grow, and once a list is
+            # full or the pin budget spent, its pins[-1] only falls. So a
+            # pinned key stays pinned until it is demoted or deleted, and a
+            # key that failed the tests, or was demoted, fails them for good;
+            # a resident key that is not pinned is one of those.
+            self._maybe_pin(key)
+        self.touch(key)
+
     def touch(self, key: bytes) -> bool:
         """Access a key known to exist in the store. True iff it was resident
         (a cache hit); on a miss the entry is admitted."""
-        hit = key in (self._order if self.policy == "lru" else self._entries)
-        self._access(key)
-        return hit
-
-    def admit(self, key: bytes) -> None:
-        """Install/refresh residency on a write; no hit/miss accounting."""
-        if self.policy == "lru_pin":
-            self._maybe_pin(key)
-        self._access(key)
-
-    def _access(self, key: bytes) -> None:
-        if self.policy == "lru":
-            self._order[key] = None
-            self._order.move_to_end(key)
-            while len(self._order) > self.capacity:
-                self._order.popitem(last=False)
-            return
-
         now = self._clock()
-        if now - self._t0 > REBASE * self.halflife:
-            # ldexp by a power of two is exact (above subnormals) and never reorders.
-            shift = REBASE * int((now - self._t0) // (REBASE * self.halflife))
-            self._t0 += shift * self.halflife
-            for e in self._entries.values():
-                e[0] = math.ldexp(e[0], -shift)
-            self._heap = [(math.ldexp(s, -shift), q, k) for s, q, k in self._heap]
-        weight = math.exp(_LN2 * (now - self._t0) / self.halflife)
-        self._seq += 1
-        entry = self._entries.get(key)
+        if now - self._t0 > self._rebase_span:
+            self._rebase(now)
+        weight = exp(_LN2 * (now - self._t0) / self.halflife)
+        self._seq = seq = self._seq + 1
+        entries = self._entries
+        entry = entries.get(key)
         if entry is not None:
             entry[0] += weight
-            entry[1] = self._seq
-            return
-        entries, heap = self._entries, self._heap
-        entries[key] = [weight, self._seq]
-        if key not in self._pinned:
-            heappush(heap, (weight, self._seq, key))
-        while len(entries) > self.capacity and heap:
-            _, seq, victim = heap[0]
-            entry = entries.get(victim)
-            if entry is None or victim in self._pinned:
-                heappop(heap)
-            elif entry[1] != seq:
-                heapreplace(heap, (entry[0], entry[1], victim))
+            entry[1] = seq
+            return True
+        entries[key] = [weight, seq]
+        fifo, heap, pinned = self._fifo, self._heap, self._pinned
+        if key not in pinned:
+            if weight >= self._fifo_weight:
+                fifo.append((seq, key))
+                self._fifo_weight = weight
             else:
-                heappop(heap)
-                del entries[victim]
-        self._trim_heap()
+                heappush(heap, (weight, seq, key))
+        if len(entries) > self.capacity:
+            # Pins never exceed capacity, so an unpinned entry exists, and
+            # so does a current item for it in one of the two queues.
+            while fifo:
+                fseq, fkey = fifo[0]
+                fentry = entries.get(fkey)
+                if fentry is not None and fentry[1] == fseq:
+                    break
+                fifo.popleft()
+                if fentry is not None and fkey not in pinned:
+                    heappush(heap, (fentry[0], fentry[1], fkey))
+            while heap:
+                _, hseq, hkey = heap[0]
+                hentry = entries.get(hkey)
+                if hentry is not None and hentry[1] == hseq:
+                    break
+                if hentry is None or hkey in pinned:
+                    heappop(heap)
+                else:
+                    heapreplace(heap, (hentry[0], hentry[1], hkey))
+            if fifo and not (heap and heap[0] < (fentry[0], fseq, fkey)):
+                fifo.popleft()
+                del entries[fkey]
+            else:
+                del entries[heappop(heap)[2]]
+        return False
 
-    def _trim_heap(self) -> None:
-        if len(self._heap) > 2 * len(self._entries) + 64:  # drop tuples of deleted keys
+    def _rebase(self, now: float) -> None:
+        # ldexp by a power of two is exact above subnormals and never inverts
+        # two scores, but scores that underflow tie and then order by seq,
+        # so the heap is rebuilt. The FIFO stays sorted: its ties are in seq
+        # order already.
+        shift = REBASE * int((now - self._t0) // self._rebase_span)
+        self._t0 += shift * self.halflife
+        for e in self._entries.values():
+            e[0] = math.ldexp(e[0], -shift)
+        self._heap = [(math.ldexp(s, -shift), q, k) for s, q, k in self._heap]
+        heapify(self._heap)
+        self._fifo_weight = math.ldexp(self._fifo_weight, -shift)
+
+    def evict(self, key: bytes) -> None:
+        if self._entries.pop(key, None) is None:
+            return
+        self._pinned.discard(key)
+        # Pin-list membership survives deletion: a re-inserted low id
+        # re-pins, keeping the initial-prefix band stable within a run.
+        if len(self._heap) + len(self._fifo) > 2 * len(self._entries) + 64:
+            # Only deletions leave items without an entry; refile the rest.
             pinned = self._pinned
             self._heap = [(e[0], e[1], k) for k, e in self._entries.items() if k not in pinned]
             heapify(self._heap)
-
-    def evict(self, key: bytes) -> None:
-        if self.policy == "lru":
-            self._order.pop(key, None)
-        else:
-            self._entries.pop(key, None)
-            self._pinned.discard(key)
-            self._trim_heap()
-            # Pin-list membership survives deletion: a re-inserted low id
-            # re-pins, keeping the initial-prefix band stable within a run.
+            self._fifo.clear()
+            self._fifo_weight = 0.0
 
 
 class HybridMetaStore:
@@ -264,11 +331,12 @@ class HybridMetaStore:
         self._lock = threading.Lock()
         self._max_entries = max_entries
         self.cache_config = cache if cache is not None else CacheConfig()
-        self._cache = (
-            _EntryCache(self.cache_config, clock)
-            if self.cache_config.capacity_entries > 0
-            else None
-        )
+        capacity = self.cache_config.capacity_entries
+        self._cache: _LruTier | _PinTier | None = None
+        if capacity and self.cache_config.policy == "lru":
+            self._cache = _LruTier(capacity)
+        elif capacity:
+            self._cache = _PinTier(self.cache_config, clock)
         self._puts = 0
         self._gets = 0
         self._scans = 0
@@ -354,5 +422,5 @@ class HybridMetaStore:
                 cache_hits=self._hits,
                 cache_misses=self._misses,
                 resident_entries=len(self._map),
-                cache_entries=self._cache.size if self._cache is not None else 0,
+                cache_entries=len(self._cache) if self._cache is not None else 0,
             )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -480,7 +481,123 @@ def test_lru_pin_matches_reference_hot_tier(ops, capacity_pin, halflife):
         assert (stats.cache_hits, stats.cache_misses, stats.cache_entries) == (
             model.hits, model.misses, len(model.entries)
         )
-        assert len(store._cache._heap) <= 2 * stats.cache_entries + 64
+        assert len(store._cache._heap) + len(store._cache._fifo) <= 2 * stats.cache_entries + 64
+
+
+def _replay_against_model(ops, capacity, pin, halflife):
+    clock = _FakeClock()
+    store = HybridMetaStore(
+        cache=CacheConfig(capacity, "lru_pin", pin, hotness_halflife_s=halflife), clock=clock
+    )
+    model = ModelHotTier(capacity, pin, halflife, clock)
+    for op, ns, bid, quarters in ops:
+        clock.now += quarters * halflife / 4
+        key = encode_key(ns, bid)
+        if op == "put":
+            store.put(key, bid)
+        else:
+            getattr(store, op)(key)
+        getattr(model, op)(key)
+        stats = store.stats()
+        assert (stats.cache_hits, stats.cache_misses, stats.cache_entries) == (
+            model.hits, model.misses, len(model.entries)
+        )
+        assert len(store._cache._heap) + len(store._cache._fifo) <= 2 * stats.cache_entries + 64
+
+
+def _admission_runs(capacity, quarters):
+    """Single ops mixed with runs of consecutive ids, so that long stretches
+    of entries are admitted, and mostly evicted, after one access."""
+    ids = st.integers(min_value=0, max_value=4 * capacity - 1)
+    single = st.tuples(
+        st.sampled_from(["put", "get", "delete"]), st.sampled_from([NS, NS2]), ids, quarters
+    ).map(lambda op: [op])
+    run = st.tuples(
+        st.sampled_from(["put", "get"]),
+        st.sampled_from([NS, NS2]),
+        ids,
+        st.integers(min_value=1, max_value=2 * capacity),
+        quarters,
+    ).map(lambda r: [(r[0], r[1], (r[2] + i) % (4 * capacity), r[4]) for i in range(r[3])])
+    return st.lists(st.one_of(single, run), min_size=5, max_size=30).map(
+        lambda segments: [op for segment in segments for op in segment]
+    )
+
+
+@given(
+    st.sampled_from([16, 32]).flatmap(
+        lambda c: st.tuples(st.just(c), _admission_runs(c, st.integers(0, 2)))
+    ),
+    st.sampled_from([0, 2, 8]),
+    st.sampled_from([0.5, 1.0, 600.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_lru_pin_single_access_fifo_matches_reference_hot_tier(capacity_ops, pin, halflife):
+    # Clock advances of 0 give equal weights, so (score, last_seq) ties are
+    # broken by last_seq alone.
+    capacity, ops = capacity_ops
+    _replay_against_model(ops, capacity, pin, halflife)
+
+
+@given(_admission_runs(16, st.integers(-4, 4)), st.sampled_from([0, 2]))
+@settings(max_examples=100, deadline=None)
+def test_lru_pin_matches_reference_hot_tier_when_the_clock_steps_back(ops, pin):
+    # An admission lighter than the FIFO's last item must not queue behind it.
+    _replay_against_model(ops, 16, pin, 1.0)
+
+
+def test_lru_pin_bookkeeping_stays_bounded_under_put_delete_churn():
+    # At most 9 keys live in a tier of 64, so no eviction ever pops a queue;
+    # only deletion can drop the items that deleted keys leave behind.
+    store = HybridMetaStore(cache=CacheConfig(64, "lru_pin", pin_first_n=2))
+    tier = store._cache
+    for bid in range(5_000):
+        store.put(encode_key(NS, bid), bid)
+        store.get(encode_key(NS, bid))
+        if bid >= 8:
+            store.delete(encode_key(NS, bid - 8))
+        assert len(tier) <= 9
+        assert len(tier._heap) + len(tier._fifo) <= 2 * len(tier) + 64
+
+
+def test_lru_pin_victims_across_underflowing_rebases():
+    """Rebases that underflow scores to ties must still leave the victim the
+    least (score, last_seq) of the rescaled scores: checked against a tier
+    that finds each victim by a scan."""
+    from kvcmeta.store import _LN2, _PinTier
+
+    class ScanTier(_PinTier):
+        def touch(self, key):
+            now = self._clock()
+            if now - self._t0 > self._rebase_span:
+                self._rebase(now)
+            self._seq += 1
+            entry = self._entries.setdefault(key, [0.0, 0])
+            hit = entry[1] != 0
+            entry[0] += math.exp(_LN2 * (now - self._t0) / self.halflife)
+            entry[1] = self._seq
+            if len(self._entries) > self.capacity:
+                victim = min((e[0], e[1], k) for k, e in self._entries.items() if k not in self._pinned)
+                del self._entries[victim[2]]
+            return hit
+
+    rng = random.Random(11)
+    for _ in range(40):
+        capacity, halflife = rng.choice([2, 4, 8, 16]), rng.choice([0.5, 1.0])
+        cfg = CacheConfig(capacity, "lru_pin", pin_first_n=rng.randint(0, 1), hotness_halflife_s=halflife)
+        clock = _FakeClock()
+        store, scan = HybridMetaStore(cache=cfg, clock=clock), HybridMetaStore(cache=cfg, clock=clock)
+        scan._cache = ScanTier(cfg, clock)
+        for _ in range(1_500):
+            clock.now += rng.choice([0, 0, 1, 2, 4]) * halflife / 4
+            if rng.random() < 0.005:
+                clock.now += rng.choice([512, 1500, 2100]) * halflife  # 2^-1074 is the float floor
+            key = encode_key(rng.choice([NS, NS2]), rng.randrange(4 * capacity))
+            op = rng.choice(["put", "put", "get", "get", "delete"])
+            args = (key, 1) if op == "put" else (key,)
+            assert getattr(store, op)(*args) == getattr(scan, op)(*args)
+            assert store.stats() == scan.stats()
+            assert store._cache._entries.keys() == scan._cache._entries.keys()
 
 
 def test_concurrent_readers_and_writers_with_per_op_atomicity():
