@@ -136,23 +136,23 @@ def hit_rate_cdf(trace: Trace) -> HitRateCdf:
     return HitRateCdf(tuple(points))
 
 
+def run_bounds(ids) -> list[int]:
+    """Positions where the maximal +1 runs of a non-empty id sequence start,
+    then its length: run r is ``ids[b[r]:b[r + 1]]``."""
+    return [0, *[i for i, (a, b) in enumerate(zip(ids, ids[1:]), 1) if b != a + 1], len(ids)]
+
+
 def segment_runs(block_ids) -> list[Run]:
     """Partition a block-id list positionally into maximal +1 runs.
 
     Only steps of exactly +1 extend a run; descending or strided ids are
     singletons. Concatenating the runs reproduces the input.
     """
-    runs: list[Run] = []
     ids = list(block_ids)
-    i = 0
-    n = len(ids)
-    while i < n:
-        j = i + 1
-        while j < n and ids[j] == ids[j - 1] + 1:
-            j += 1
-        runs.append(Run(ids[i], j - i))
-        i = j
-    return runs
+    if not ids:
+        return []
+    bounds = run_bounds(ids)
+    return [Run(ids[lo], hi - lo) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def sequential_fraction(block_ids) -> float:

@@ -29,10 +29,10 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 
-from .analysis import segment_runs
-from .store import encode_key, hash_key
+from .analysis import run_bounds
+from .store import key_encoder
 from .trace import Trace
 
 POINT_GET = "point_get"
@@ -109,12 +109,6 @@ class LatencyLog:
     errors: int = 0
 
 
-def _key_fn(key_scheme: str, namespace: bytes | str):
-    if key_scheme == "ordered":
-        return lambda bid: encode_key(namespace, bid)
-    return lambda bid: hash_key(namespace, bid)
-
-
 def compile_ops(
     trace: Trace,
     mode: str = "preload",
@@ -134,69 +128,54 @@ def compile_ops(
     if key_scheme not in KEY_SCHEMES:
         raise ValueError(f"unknown key_scheme {key_scheme!r}")
 
-    make_key = _key_fn(key_scheme, namespace)
     scans_enabled = key_scheme == "ordered"
+    make_key = key_encoder(namespace, hashed=not scans_enabled)
     ops: list[MetadataOp] = []
-    preload: list[tuple[bytes, int]] = []
-    preloaded: set[int] = set()
+    append = ops.append
     seen: set[int] = set()
     k = chunk_split
 
-    for ordinal, req in enumerate(trace.requests):
-        ids = (
-            [b * k + j for b in req.block_ids for j in range(k)]
-            if k > 1
-            else list(req.block_ids)
-        )
-        t = req.arrival_ms
-        if mode == "preload":
-            for bid in ids:
-                if bid not in preloaded:
-                    preloaded.add(bid)
-                    preload.append((make_key(bid), bid))
-            for run in segment_runs(ids):
-                ops.extend(_read_ops(run.start_id, run.length, t, ordinal, make_key, scans_enabled))
+    def reads(start_id: int, length: int, t: int, ordinal: int) -> None:
+        if length >= 2 and scans_enabled:
+            append(MetadataOp(RANGE_SCAN, t, ordinal, None, None,
+                              make_key(start_id), make_key(start_id + length), length))
         else:
-            for run in segment_runs(ids):
-                ops.extend(
-                    _insert_on_miss_ops(run.start_id, run.length, t, ordinal, seen, make_key, scans_enabled)
-                )
+            for bid in range(start_id, start_id + length):
+                append(MetadataOp(POINT_GET, t, ordinal, make_key(bid)))
+
+    for ordinal, req in enumerate(trace.requests):
+        ids = [b * k + j for b in req.block_ids for j in range(k)] if k > 1 else req.block_ids
+        if not ids:
+            continue
+        t = req.arrival_ms
+        bounds = run_bounds(ids)
+        for lo, hi in zip(bounds, bounds[1:]):
+            if mode == "preload":
+                reads(ids[lo], hi - lo, t, ordinal)
+                continue
+            # Never-seen ids compile to inserts; each stretch of already-seen
+            # ids becomes reads. A run's ids are distinct, so marking one id
+            # seen never moves a later id of the run into the other group.
+            for was_seen, group in groupby(ids[lo:hi], seen.__contains__):
+                if was_seen:
+                    bids = list(group)
+                    reads(bids[0], len(bids), t, ordinal)
+                    continue
+                for bid in group:
+                    seen.add(bid)
+                    append(MetadataOp(INSERT, t, ordinal, make_key(bid), bid))
+
+    preload: list[tuple[bytes, int]] = []
+    if mode == "preload":
+        # First appearances, in order; b's chunk ids b*k .. b*k+k-1 first
+        # appear together, where b first does.
+        firsts = dict.fromkeys(chain.from_iterable(req.block_ids for req in trace.requests))
+        preload = [(make_key(bid), bid) for b in firsts for bid in range(b * k, b * k + k)]
     return OpStream(ops, preload, mode, _ns_bytes(namespace), chunk_split, key_scheme)
 
 
 def _ns_bytes(namespace: bytes | str) -> bytes:
     return namespace.encode("utf-8") if isinstance(namespace, str) else namespace
-
-
-def _read_ops(start_id: int, length: int, t: int, ordinal: int, make_key, scans_enabled: bool):
-    if length >= 2 and scans_enabled:
-        yield MetadataOp(
-            RANGE_SCAN,
-            t,
-            ordinal,
-            start=make_key(start_id),
-            end_exclusive=make_key(start_id + length),
-            span=length,
-        )
-    else:
-        for bid in range(start_id, start_id + length):
-            yield MetadataOp(POINT_GET, t, ordinal, key=make_key(bid))
-
-
-def _insert_on_miss_ops(
-    start_id: int, length: int, t: int, ordinal: int, seen: set[int], make_key, scans_enabled: bool
-):
-    # Never-seen ids compile to inserts; each stretch of already-seen ids
-    # becomes reads. A run's ids are distinct, so marking one id seen never
-    # moves a later id of the run into the other group.
-    for was_seen, group in groupby(range(start_id, start_id + length), seen.__contains__):
-        if was_seen:
-            bids = list(group)
-            yield from _read_ops(bids[0], len(bids), t, ordinal, make_key, scans_enabled)
-            continue
-        for bid in group:
-            seen.add(bid)
-            yield MetadataOp(INSERT, t, ordinal, key=make_key(bid), value=bid)
 
 
 def _execute(op: MetadataOp, backend) -> str:

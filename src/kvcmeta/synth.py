@@ -100,6 +100,7 @@ class _Node:
     first_id: int
     length: int
     visits: int = 0
+    child_visits: int = 0  # sum of the children's visits
     children: list["_Node"] = field(default_factory=list)
 
 
@@ -132,7 +133,7 @@ def generate(config: SynthConfig) -> Trace:
         node = root
         target_depth = rng.randint(1, shape.depth)
         for _ in range(target_depth):
-            reuse_weight = config.reuse_bias * sum(c.visits for c in node.children)
+            reuse_weight = config.reuse_bias * node.child_visits
             can_branch = len(node.children) < shape.branching
             total = reuse_weight + (1.0 if can_branch else 0.0)
             if total <= 0.0:
@@ -141,9 +142,11 @@ def generate(config: SynthConfig) -> Trace:
                     f"branching {shape.branching} is exhausted at request {i}"
                 )
             if can_branch and rng.random() * total < 1.0:
-                node = new_child(node)
+                child = new_child(node)
             else:
-                node = _weighted_child(rng, node.children)
+                child = _weighted_child(rng, node.children, node.child_visits)
+            node.child_visits += 1
+            node = child
             node.visits += 1
             ids.extend(range(node.first_id, node.first_id + node.length))
 
@@ -173,9 +176,10 @@ def generate(config: SynthConfig) -> Trace:
     return Trace(tuple(requests), label=config.label, block_tokens=config.block_tokens)
 
 
-def _weighted_child(rng: random.Random, children: list[_Node]) -> _Node:
-    # Weights are the visit counts (preferential attachment); total > 0 here.
-    pick = rng.random() * sum(c.visits for c in children)
+def _weighted_child(rng: random.Random, children: list[_Node], total: int) -> _Node:
+    # Weights are the visit counts (preferential attachment); ``total`` is
+    # their sum, > 0 here.
+    pick = rng.random() * total
     acc = 0.0
     for child in children:
         acc += child.visits

@@ -74,6 +74,7 @@ def _replay(backend, ops):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_1_oracle_equivalence():
     """1,000 random sequences x 10,000 mixed ops over 1,200 ids x 3 namespaces;
     results must equal the sorted-association-list oracle exactly, with the

@@ -95,7 +95,37 @@ class TestHitRateCdf:
         assert all(0.0 <= h <= 1.0 for h in hit_rates)
 
 
+def _reference_segment_runs(block_ids) -> list[Run]:
+    """``segment_runs`` as a scan that extends each run while the next id is
+    its predecessor + 1: the reference for the one-pass boundary search."""
+    runs: list[Run] = []
+    ids = list(block_ids)
+    i = 0
+    n = len(ids)
+    while i < n:
+        j = i + 1
+        while j < n and ids[j] == ids[j - 1] + 1:
+            j += 1
+        runs.append(Run(ids[i], j - i))
+        i = j
+    return runs
+
+
+# Id lists made of +1 runs, repeats and jumps, so runs of every length and
+# their boundaries (including at both ends) occur often.
+_run_heavy_ids = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2**64 - 40), st.integers(min_value=1, max_value=6)),
+    max_size=8,
+).map(lambda parts: [start + i for start, length in parts for i in range(length)])
+
+
 class TestSegmentRuns:
+    @given(st.one_of(_run_heavy_ids, st.lists(st.integers(min_value=0, max_value=12), max_size=30)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_scan(self, ids):
+        assert segment_runs(ids) == _reference_segment_runs(ids)
+        assert segment_runs(tuple(ids)) == _reference_segment_runs(ids)
+
     def test_example(self):
         assert segment_runs([5, 6, 7, 42, 9, 10]) == [Run(5, 3), Run(42, 1), Run(9, 2)]
 

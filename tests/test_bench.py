@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 import threading
 import time
 from collections import Counter
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kvcmeta import bench
+from kvcmeta import bench, synth
 from kvcmeta.bench import (
     INSERT,
     POINT_GET,
@@ -180,6 +182,81 @@ def test_insert_on_miss_matches_reference_walk(id_lists, key_scheme, k):
     stream = compile_ops(trace, mode="insert_on_miss", namespace=NS, chunk_split=k,
                          key_scheme=key_scheme)
     assert stream.ops == _reference_insert_on_miss(trace, NS, k, key_scheme)
+
+
+def _reference_compile_ops(trace, mode, namespace, chunk_split, key_scheme):
+    """``compile_ops`` as per-run generators that key every id through
+    ``encode_key``/``hash_key`` and dedupe the preload with a set: the
+    reference for the direct-append compile. Returns (ops, preload)."""
+    key_of = encode_key if key_scheme == "ordered" else hash_key
+    scans_enabled = key_scheme == "ordered"
+    ops: list[MetadataOp] = []
+    preload: list[tuple[bytes, int]] = []
+    preloaded: set[int] = set()
+    seen: set[int] = set()
+    k = chunk_split
+
+    def read_ops(start_id, length, t, ordinal):
+        if length >= 2 and scans_enabled:
+            yield MetadataOp(RANGE_SCAN, t, ordinal, start=key_of(namespace, start_id),
+                             end_exclusive=key_of(namespace, start_id + length), span=length)
+        else:
+            for bid in range(start_id, start_id + length):
+                yield MetadataOp(POINT_GET, t, ordinal, key=key_of(namespace, bid))
+
+    def insert_on_miss_ops(start_id, length, t, ordinal):
+        for was_seen, group in groupby(range(start_id, start_id + length), seen.__contains__):
+            if was_seen:
+                bids = list(group)
+                yield from read_ops(bids[0], len(bids), t, ordinal)
+                continue
+            for bid in group:
+                seen.add(bid)
+                yield MetadataOp(INSERT, t, ordinal, key=key_of(namespace, bid), value=bid)
+
+    for ordinal, req in enumerate(trace.requests):
+        ids = [b * k + j for b in req.block_ids for j in range(k)] if k > 1 else list(req.block_ids)
+        t = req.arrival_ms
+        if mode == "preload":
+            for bid in ids:
+                if bid not in preloaded:
+                    preloaded.add(bid)
+                    preload.append((key_of(namespace, bid), bid))
+            for run in segment_runs(ids):
+                ops.extend(read_ops(run.start_id, run.length, t, ordinal))
+        else:
+            for run in segment_runs(ids):
+                ops.extend(insert_on_miss_ops(run.start_id, run.length, t, ordinal))
+    return ops, preload
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=30), max_size=12),
+        min_size=1,
+        max_size=10,
+    ),
+    st.sampled_from(["preload", "insert_on_miss"]),
+    st.sampled_from(["ordered", "hashed"]),
+    st.sampled_from([1, 3]),
+    st.sampled_from([b"", NS, "str-ns", b"n" * 24]),
+)
+@settings(max_examples=300, deadline=None)
+def test_compile_matches_reference_generators(id_lists, mode, key_scheme, k, namespace):
+    trace = _trace([(i, ids) for i, ids in enumerate(id_lists)])
+    stream = compile_ops(trace, mode=mode, namespace=namespace, chunk_split=k,
+                         key_scheme=key_scheme)
+    assert (stream.ops, stream.preload) == _reference_compile_ops(
+        trace, mode, namespace, k, key_scheme)
+
+
+@pytest.mark.parametrize("mode", ["preload", "insert_on_miss"])
+@pytest.mark.parametrize("key_scheme", ["ordered", "hashed"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_compile_matches_reference_generators_on_synthetic_trace(mode, key_scheme, k):
+    trace = synth.generate(dataclasses.replace(synth.COOKBOOK_TOOL_AGENT, num_requests=300))
+    stream = compile_ops(trace, mode=mode, namespace=NS, chunk_split=k, key_scheme=key_scheme)
+    assert (stream.ops, stream.preload) == _reference_compile_ops(trace, mode, NS, k, key_scheme)
 
 
 class TestCompileGeneric:

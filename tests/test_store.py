@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +12,11 @@ from kvcmeta.store import (
     CacheConfig,
     HybridMetaStore,
     StoreCapacityError,
+    _namespace_tag,
     decode_key,
     encode_key,
     hash_key,
+    key_encoder,
 )
 from oracle_store import ModelHotTier, ModelStore
 
@@ -63,6 +66,38 @@ class TestKeyEncoding:
     def test_order_preservation_property(self, bid):
         assert encode_key(NS, bid) < encode_key(NS, bid + 1)
         assert decode_key(encode_key(NS, bid)) == (NS.ljust(24, b"\x00"), bid)
+
+
+class TestKeyCodecCache:
+    """The namespace tag is memoized; the bytes of every key must not change."""
+
+    @pytest.mark.parametrize("length", [0, 1, 23, 24])
+    def test_keys_are_byte_identical_for_str_and_bytes_namespaces(self, length):
+        raw = bytes(range(97, 97 + length))  # b"abc..."
+        tag = raw + b"\x00" * (24 - length)
+        for ns in (raw, raw.decode("ascii")) * 2:  # the second round hits the cache
+            for bid in (0, 1, 255, 256, 2**64 - 1):
+                want = tag + bid.to_bytes(8, "big")
+                assert encode_key(ns, bid) == want
+                assert hash_key(ns, bid) == sha256(want).digest()
+                assert key_encoder(ns)(bid) == want
+                assert key_encoder(ns, hashed=True)(bid) == sha256(want).digest()
+                assert decode_key(encode_key(ns, bid)) == (tag, bid)
+
+    def test_too_long_namespace_raises_on_every_call(self):
+        for ns in (b"x" * 25, "x" * 25):
+            for _ in range(3):
+                for call in (lambda: encode_key(ns, 0), lambda: hash_key(ns, 0),
+                             lambda: key_encoder(ns), lambda: key_encoder(ns, hashed=True)):
+                    with pytest.raises(ValueError, match="longer"):
+                        call()
+
+    def test_cache_is_bounded(self):
+        maxsize = _namespace_tag.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(maxsize + 100):
+            encode_key(f"bound-{i}", i)
+        assert _namespace_tag.cache_info().currsize <= maxsize
 
 
 class TestCacheConfig:
@@ -251,6 +286,52 @@ def test_cache_transparency_property(ops):
     ]
     outcomes = [_replay_ops(HybridMetaStore(cache=cfg), ops) for cfg in configs]
     assert all(o == outcomes[0] for o in outcomes)
+
+
+_index_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["put_above", "put_below", "put_random", "put_last", "delete_last",
+             "put_last_deleted", "delete_random"]
+        ),
+        st.integers(min_value=0, max_value=40),
+    ),
+    max_size=120,
+)
+
+
+@given(_index_ops)
+@settings(max_examples=300, deadline=None)
+def test_in_order_put_fast_path_keeps_the_index_sorted(ops):
+    """Puts above, below and among the indexed keys, re-puts and deletes of
+    the current last key: after every op the index is exactly the sorted
+    key set, and scans equal the oracle's."""
+    store, oracle = HybridMetaStore(), ModelStore()
+    last_deleted = 1_000
+    for op, n in ops:
+        ids = sorted(decode_key(k)[1] for k in store._map)
+        if op.startswith("delete"):
+            if ids:
+                bid = ids[-1] if op == "delete_last" else ids[n % len(ids)]
+                last_deleted = bid if op == "delete_last" else last_deleted
+                key = encode_key(NS, bid)
+                assert store.delete(key) == oracle.delete(key)
+        else:
+            top, bottom = (ids[-1], ids[0]) if ids else (1_000, 1_000)
+            bid = {
+                "put_above": top + 1 + n,
+                "put_below": max(0, bottom - 1 - n % 8),
+                "put_random": 900 + 10 * n,
+                "put_last": top,
+                "put_last_deleted": last_deleted,
+            }[op]
+            key = encode_key(NS, bid)
+            assert store.put(key, n) == oracle.put(key, n)
+        assert store._keys == sorted(store._map)
+        lo, hi = encode_key(NS, 900 + 10 * n), encode_key(NS, 2_000 + n)
+        assert store.scan(lo, hi) == oracle.scan(lo, hi)
+    everything = (b"\x00" * 32, b"\xff" * 32)
+    assert store.scan(*everything) == oracle.scan(*everything)
 
 
 def test_bulk_random_puts_then_full_scan_matches_oracle():

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import gzip
+import json
 import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kvcmeta.trace import (
+    BLOCK_ID_MAX,
     Trace,
     TraceParseError,
     TraceRequest,
@@ -172,3 +174,177 @@ def test_parse_output_sorted_and_rebased(trace):
     arrivals = [r.arrival_ms for r in again.requests]
     assert arrivals == sorted(arrivals)
     assert arrivals[0] == 0
+
+
+# --- reference codec ----------------------------------------------------------
+# The per-id validation walk and the json.dumps serializer that parse_trace
+# and serialize_trace replaced with C-level checks and a join; kept as the
+# reference both must match byte for byte and error for error.
+
+
+def _reference_uint(record: dict, name: str, line_no: int) -> int:
+    if name not in record:
+        raise TraceParseError(f"missing field {name!r}", line_no)
+    value = record[name]
+    if type(value) is not int:
+        raise TraceParseError(f"field {name!r} is not an integer: {value!r}", line_no)
+    if value < 0:
+        raise TraceParseError(f"field {name!r} is negative: {value}", line_no)
+    return value
+
+
+def _reference_parse_trace(data, label: str = "", block_tokens: int = 512) -> Trace:
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    rows = []
+    out_of_order = 0
+    prev_ts = None
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+        if not isinstance(record, dict):
+            raise TraceParseError("record is not a JSON object", line_no)
+        ts = _reference_uint(record, "timestamp", line_no)
+        input_len = _reference_uint(record, "input_length", line_no)
+        output_len = _reference_uint(record, "output_length", line_no)
+        raw_ids = record.get("hash_ids")
+        if raw_ids is None:
+            raise TraceParseError("missing field 'hash_ids'", line_no)
+        if not isinstance(raw_ids, list):
+            raise TraceParseError("field 'hash_ids' is not an array", line_no)
+        ids = []
+        for v in raw_ids:
+            if type(v) is not int:
+                raise TraceParseError(f"non-integer block id: {v!r}", line_no)
+            if v < 0:
+                raise TraceParseError(f"negative block id: {v}", line_no)
+            if v > BLOCK_ID_MAX:
+                raise TraceParseError(f"block id out of 64-bit range: {v}", line_no)
+            ids.append(v)
+        if prev_ts is not None and ts < prev_ts:
+            out_of_order += 1
+        prev_ts = ts
+        rows.append((ts, TraceRequest(ts, input_len, output_len, tuple(ids))))
+    if not rows:
+        raise TraceParseError("empty trace")
+    rows.sort(key=lambda row: row[0])
+    base = rows[0][0]
+    requests = tuple(
+        TraceRequest(ts - base, r.input_len, r.output_len, r.block_ids) for ts, r in rows
+    )
+    return Trace(requests, label=label, block_tokens=block_tokens, out_of_order=out_of_order)
+
+
+def _reference_serialize_trace(trace: Trace) -> bytes:
+    out = []
+    for r in trace.requests:
+        out.append(
+            '{"timestamp":%d,"input_length":%d,"output_length":%d,"hash_ids":%s}\n'
+            % (r.arrival_ms, r.input_len, r.output_len,
+               json.dumps(list(r.block_ids), separators=(",", ":")))
+        )
+    return "".join(out).encode("utf-8")
+
+
+@given(traces())
+@settings(max_examples=200, deadline=None)
+def test_serialize_matches_json_dumps_reference(trace):
+    assert serialize_trace(trace) == _reference_serialize_trace(trace)
+
+
+_valid_ids = st.lists(st.integers(min_value=0, max_value=BLOCK_ID_MAX), max_size=8)
+_records = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=50),  # timestamps may regress and tie
+        st.integers(min_value=0, max_value=1 << 20),
+        _valid_ids,
+        st.booleans(),  # an extra field, which parse ignores
+        st.booleans(),  # a blank line before the record
+        st.sampled_from(["", " ", "\t", " \r"]),  # whitespace around the record
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _record_line(ts, inp, ids, extra=False) -> str:
+    record = {"timestamp": ts, "input_length": inp, "output_length": 1, "hash_ids": ids}
+    if extra:
+        record["flag"] = True
+    return json.dumps(record)
+
+
+@given(_records, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_parse_matches_reference(records, as_bytes):
+    lines = []
+    for ts, inp, ids, extra, blank, pad in records:
+        if blank:
+            lines.append("  ")
+        lines.append(pad + _record_line(ts, inp, ids, extra) + pad)
+    text = "\n".join(lines)
+    data = text.encode("utf-8") if as_bytes else text
+    got = parse_trace(data, label="gen", block_tokens=64)
+    want = _reference_parse_trace(data, label="gen", block_tokens=64)
+    assert got == want
+    assert got.requests == want.requests
+    assert got.out_of_order == want.out_of_order
+
+
+_bad_ids = st.one_of(
+    st.booleans(),
+    st.floats(),  # NaN and infinities too: json.dumps writes NaN/Infinity, which json.loads reads
+    st.integers(max_value=-1),
+    st.integers(min_value=BLOCK_ID_MAX + 1, max_value=2**70),
+)
+
+
+@given(
+    st.lists(_valid_ids, max_size=4),
+    _valid_ids,
+    _bad_ids,
+    st.lists(st.one_of(st.integers(min_value=0, max_value=BLOCK_ID_MAX), _bad_ids), max_size=4),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_bad_block_id_error_matches_reference(good_lines, prefix, bad, suffix, extra):
+    """A record whose ids are valid up to one bad id: the error names the
+    same id and line as the per-id walk, whatever follows it."""
+    lines = [_record_line(i, 1, ids) for i, ids in enumerate(good_lines)]
+    lines.append(_record_line(len(lines), 1, [*prefix, bad, *suffix], extra))
+    data = "\n".join(lines).encode("utf-8")
+    with pytest.raises(TraceParseError) as want:
+        _reference_parse_trace(data)
+    with pytest.raises(TraceParseError) as got:
+        parse_trace(data)
+    assert str(got.value) == str(want.value)
+    assert got.value.line_no == want.value.line_no == len(lines)
+
+
+def _outcome(parse, data):
+    try:
+        trace = parse(data)
+    except TraceParseError as exc:
+        return ("error", str(exc), exc.line_no)
+    return ("trace", trace.requests, trace.out_of_order)
+
+
+@given(
+    st.lists(_valid_ids, max_size=3),
+    _valid_ids,
+    st.integers(min_value=0, max_value=200),
+    st.sampled_from(["", "x", " {}", ",", "]", "\ufeff", "\ufeff "]),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_broken_json_line_matches_reference(good_lines, ids, cut, junk, junk_first):
+    """A record line cut short, or with junk before or after it, parses or
+    fails exactly as ``json.loads`` of each line does."""
+    lines = [_record_line(i, 1, ids_) for i, ids_ in enumerate(good_lines)]
+    line = _record_line(len(lines), 1, ids)[:cut]
+    lines.append(junk + line if junk_first else line + junk)
+    data = "\n".join(lines).encode("utf-8")
+    assert _outcome(parse_trace, data) == _outcome(_reference_parse_trace, data)
