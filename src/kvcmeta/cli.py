@@ -349,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key-scheme", choices=bench.KEY_SCHEMES, default="ordered")
     p.add_argument("--namespace", default="")
     p.add_argument("--abort-error-rate", type=float, default=0.01)
-    p.add_argument("--timeout", type=float, default=1.0, help="remote op timeout seconds")
+    p.add_argument("--timeout", type=float, default=1.0,
+                   help="remote timeout seconds: bounds the connect and each send and "
+                   "each recv, not a whole op")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("serve", help="serve the in-process store over TCP", **fmt)

@@ -3,7 +3,8 @@
 Frames are length-prefixed: a big-endian u32 payload byte count, one opcode
 byte, then the payload (at most 16 MiB). Every request frame yields exactly
 one response frame on the same connection, carrying the request's opcode; the
-first response payload byte is a status code.
+first response payload byte is a status code. One ``FrameReader`` per end
+reads a connection, so a frame that arrives whole costs one ``recv``.
 
 One row of ``_OPS`` defines an opcode: its request message and layout, the
 ``Backend`` method the server calls with the request's fields, its response
@@ -54,8 +55,10 @@ ST_NOT_FOUND = 1
 ST_BAD_REQUEST = 2
 ST_INTERNAL = 3
 _ERRORS = (ST_BAD_REQUEST, ST_INTERNAL)
+_STATUS = tuple(bytes([status]) for status in range(ST_INTERNAL + 1))  # status byte
 
 _HEADER = struct.Struct(">IB")
+_RECV_BYTES = 64 * 1024  # per recv; below glibc's default mmap threshold
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _STATS = struct.Struct(">8Q")
@@ -207,13 +210,9 @@ class _Op(NamedTuple):
     keys: tuple[str, ...]  # request fields that must be KEY_BYTES long
     method: str  # the Backend method called with the request's fields
     response: type  # (status, the method's return value)
-    absent: int  # the status of a None return value
+    absent: int  # the status of a None return value; any other value is OK
     encode_body: Callable[[Any], bytes]
     decode_body: Callable[[bytes], Any]
-
-    def status_of(self, result: Any) -> int:
-        """The status of a non-error response carrying ``result``."""
-        return self.absent if result is None else ST_OK
 
 
 def _op(opcode: int, request: type, layout: tuple[str, ...], method: str, response: type,
@@ -252,13 +251,12 @@ def encode_frame(opcode: int, payload: bytes) -> bytes:
     return _HEADER.pack(len(payload), opcode) + payload
 
 
-def _parse_header(buf: bytes) -> tuple[int, int]:
-    """(payload length, opcode) of the header at the head of buf; raises
-    ProtocolError carrying the opcode if the length exceeds MAX_PAYLOAD."""
+def _frame_end(buf: bytes) -> tuple[int, int]:
+    """(opcode, end) of the frame at the head of buf; ProtocolError(opcode) if oversized."""
     length, opcode = _HEADER.unpack_from(buf)
     if length > MAX_PAYLOAD:
         raise ProtocolError(f"frame length {length} exceeds {MAX_PAYLOAD}", opcode)
-    return length, opcode
+    return opcode, _HEADER.size + length
 
 
 def decode_frame(buf: bytes) -> tuple[int, bytes, int]:
@@ -268,35 +266,42 @@ def decode_frame(buf: bytes) -> tuple[int, bytes, int]:
     """
     if len(buf) < _HEADER.size:
         raise ProtocolError("truncated frame header")
-    length, opcode = _parse_header(buf)
-    end = _HEADER.size + length
+    opcode, end = _frame_end(buf)
     if len(buf) < end:
         raise ProtocolError("truncated frame payload")
     return opcode, buf[_HEADER.size:end], end
 
 
-def read_frame(sock: socket.socket) -> tuple[int, bytes] | None:
-    """Read one frame; None on clean EOF at a frame boundary.
+class FrameReader(NamedTuple):
+    """A connection's socket and the bytes received past the last frame read."""
 
-    Raises ConnectionError if the peer closes mid-frame, and ProtocolError
-    carrying the frame's opcode if its length exceeds MAX_PAYLOAD.
-    """
-    header = sock.recv(_HEADER.size)
-    if not header:
-        return None
-    opcode = None
-    chunks, got, want = [header], len(header), _HEADER.size
+    sock: socket.socket
+    buf: bytearray
+
+
+def read_frame(reader: FrameReader) -> tuple[int, bytes] | None:
+    """Next frame on the reader's connection, or None on clean EOF at a frame
+    boundary; it receives only while no whole frame is buffered. Raises
+    ConnectionError if the peer closes mid-frame, and ProtocolError carrying
+    the frame's opcode if its length exceeds MAX_PAYLOAD."""
+    buf = reader.buf
     while True:
-        while got < want:
-            part = sock.recv(want - got)
-            if not part:
+        if len(buf) >= _HEADER.size:
+            opcode, end = _frame_end(buf)
+            if len(buf) >= end:
+                payload = bytes(buf[_HEADER.size:end])
+                del buf[:end]
+                return opcode, payload
+        chunk = reader.sock.recv(_RECV_BYTES)
+        if not chunk:
+            if buf:
                 raise ConnectionError("connection closed mid-frame")
-            chunks.append(part)
-            got += len(part)
-        if opcode is not None:
-            return opcode, b"".join(chunks)
-        length, opcode = _parse_header(b"".join(chunks))
-        chunks, got, want = [], 0, length
+            return None
+        if not buf and len(chunk) >= _HEADER.size:  # the common case: one whole frame
+            opcode, end = _frame_end(chunk)
+            if end == len(chunk):
+                return opcode, chunk[_HEADER.size:]
+        buf += chunk
 
 
 def encode_request(req: Request) -> bytes:
@@ -327,10 +332,10 @@ def encode_response(resp: Response) -> bytes:
         raise ProtocolError(f"not a response message: {resp!r}")
     status, result = resp.__dict__.values()  # set by the dataclass __init__
     if status in _ERRORS:
-        return bytes([status])
-    if status != op.status_of(result):
+        return _STATUS[status]
+    if status != (op.absent if result is None else ST_OK):
         raise ProtocolError(f"status {status} does not fit {resp!r}")
-    return bytes([status]) + op.encode_body(result)
+    return _STATUS[status] + op.encode_body(result)
 
 
 def decode_response(opcode: int, payload: bytes) -> Response:
@@ -349,11 +354,11 @@ def decode_response(opcode: int, payload: bytes) -> Response:
         result = op.decode_body(body)
     except struct.error as exc:
         raise ProtocolError(f"malformed {op.response.__name__}: {exc}") from exc
-    if status != op.status_of(result):
+    if status != (op.absent if result is None else ST_OK):
         raise ProtocolError(f"status {status} does not fit a {op.response.__name__}")
     return op.response(status, result)
 
 
 def error_response_frame(opcode: int, status: int) -> bytes:
     """A bare-status response frame, echoing the (possibly unknown) opcode."""
-    return encode_frame(opcode, bytes([status]))
+    return encode_frame(opcode, _STATUS[status])

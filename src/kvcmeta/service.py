@@ -9,6 +9,8 @@ Per-connection ordering: the server answers each connection's requests
 strictly in arrival order, one response frame per request frame. Requests on
 different connections interleave arbitrarily. The remote client keeps one
 connection per calling thread, so concurrent workers never share a socket.
+Each end reads a connection through one ``protocol.FrameReader``, so a
+frame that arrives whole costs one ``recv``.
 
 Transport failures (connect/reset/timeout/undecodable response) raise
 TransportError; they are never reported as a miss.
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import socket
 import socketserver
+import struct
 import threading
+from contextlib import suppress
 from typing import Protocol, runtime_checkable
 
 from . import protocol as wire
@@ -51,15 +55,16 @@ class Backend(Protocol):
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         sock = self.request
-        backend = self.server.backend
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        reader = wire.FrameReader(sock, bytearray())
+        sendall, respond, backend = sock.sendall, self._respond, self.server.backend
         try:
             try:
-                while (frame := wire.read_frame(sock)) is not None:
-                    sock.sendall(self._respond(backend, *frame))
+                while (frame := wire.read_frame(reader)) is not None:
+                    sendall(respond(backend, *frame))
             except wire.ProtocolError as exc:
                 # Framing cannot be trusted past an oversized header; reject and drop.
-                sock.sendall(wire.error_response_frame(exc.opcode, wire.ST_BAD_REQUEST))
+                sendall(wire.error_response_frame(exc.opcode, wire.ST_BAD_REQUEST))
         except OSError:
             return  # reset, closed mid-frame, or shut down by stop()
 
@@ -72,7 +77,7 @@ class _Handler(socketserver.BaseRequestHandler):
         op = wire._OPS[opcode]
         try:
             result = getattr(backend, op.method)(*req.__dict__.values())  # fields in order
-            resp = op.response(op.status_of(result), result)
+            resp = op.response(op.absent if result is None else wire.ST_OK, result)
             return wire.encode_frame(opcode, wire.encode_response(resp))
         except BadRangeError:
             return wire.error_response_frame(opcode, wire.ST_BAD_REQUEST)
@@ -163,63 +168,55 @@ class RemoteBackend:
 
     One connection per calling thread; an op maps to exactly one
     request/response exchange. Safe for concurrent use by multiple workers.
+    ``timeout`` bounds the connect, each send and each recv, not the whole
+    call: kernel socket timeouts, which spare a ``poll`` per send and recv.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 1.0):
         self._addr = (host, port)
         self._timeout = timeout
+        self._timeval = struct.pack("ll", *divmod(round(timeout * 1e6), 1_000_000))
         self._local = threading.local()
-        self._conns: list[socket.socket] = []
+        self._conns: set[socket.socket] = set()
         self._conns_lock = threading.Lock()
 
-    def _conn(self) -> socket.socket:
-        sock = getattr(self._local, "sock", None)
-        if sock is None:
-            try:
-                sock = socket.create_connection(self._addr, timeout=self._timeout)
-            except OSError as exc:
-                raise TransportError(f"connect to {self._addr} failed: {exc}") from exc
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._local.sock = sock
-            with self._conns_lock:
-                self._conns.append(sock)
-        return sock
+    def _connect(self) -> wire.FrameReader:
+        """Open this thread's connection, on first use or after a drop."""
+        try:
+            sock = socket.create_connection(self._addr, timeout=self._timeout)
+        except OSError as exc:
+            raise TransportError(f"connect to {self._addr} failed: {exc}") from exc
+        sock.settimeout(None)
+        for opt in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+            sock.setsockopt(socket.SOL_SOCKET, opt, self._timeval)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        reader = self._local.reader = wire.FrameReader(sock, bytearray())
+        with self._conns_lock:
+            self._conns.add(sock)
+        return reader
 
-    def _drop(self) -> None:
-        sock = getattr(self._local, "sock", None)
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-            self._local.sock = None
-            with self._conns_lock:
-                if sock in self._conns:
-                    self._conns.remove(sock)
+    def _drop(self, sock: socket.socket) -> None:
+        self._local.reader = None
+        with self._conns_lock:
+            self._conns.discard(sock)
+        with suppress(OSError):
+            sock.close()
 
     def _call(self, req: wire.Request):
         """One exchange; returns the backend method's result that the reply carries."""
         frame = wire.encode_request(req)
-        sock = self._conn()
+        reader = getattr(self._local, "reader", None) or self._connect()
         try:
-            sock.sendall(frame)
-            reply = wire.read_frame(sock)
+            reader.sock.sendall(frame)
+            reply = wire.read_frame(reader)
+            if reply is None:
+                raise ConnectionError("connection closed by server")
+            if reply[0] != frame[4]:  # the request's opcode byte, after the u32 length
+                raise wire.ProtocolError(f"response opcode {reply[0]} != request {frame[4]}")
+            status, result = wire.decode_response(*reply).__dict__.values()
         except (OSError, wire.ProtocolError) as exc:
-            self._drop()
+            self._drop(reader.sock)
             raise TransportError(f"exchange failed: {exc}") from exc
-        if reply is None:
-            self._drop()
-            raise TransportError("connection closed by server")
-        opcode, payload = reply
-        if opcode != frame[4]:  # the request's opcode byte, after the u32 length
-            self._drop()
-            raise TransportError(f"response opcode {opcode} != request {frame[4]}")
-        try:
-            resp = wire.decode_response(opcode, payload)
-        except wire.ProtocolError as exc:
-            self._drop()
-            raise TransportError(f"response decode failed: {exc}") from exc
-        status, result = resp.__dict__.values()  # set by the dataclass __init__
         if status == wire.ST_INTERNAL:
             raise TransportError("server reported an internal error")
         if status == wire.ST_BAD_REQUEST:
@@ -250,12 +247,10 @@ class RemoteBackend:
 
     def close(self) -> None:
         with self._conns_lock:
-            conns, self._conns = self._conns, []
+            conns, self._conns = self._conns, set()
         for sock in conns:
-            try:
+            with suppress(OSError):
                 sock.close()
-            except OSError:
-                pass
 
     def __enter__(self) -> "RemoteBackend":
         return self

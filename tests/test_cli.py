@@ -290,7 +290,7 @@ class TestServeCmd:
         finally:
             if proc.poll() is None:
                 proc.kill()
-                proc.wait()
+            proc.communicate()  # reaps the child and closes both pipes
 
 
 class TestSvgRendering:

@@ -41,6 +41,70 @@ class TestFraming:
         assert exc.value.opcode == 1
 
 
+class ScriptedSocket:
+    """Hands out one scripted chunk per recv, then EOF, and counts the recvs."""
+
+    def __init__(self, *chunks: bytes):
+        self.chunks = list(chunks)
+        self.recvs = 0
+
+    def recv(self, bufsize: int) -> bytes:
+        self.recvs += 1
+        chunk = self.chunks.pop(0) if self.chunks else b""
+        assert len(chunk) <= bufsize
+        return chunk
+
+
+def _reader(*chunks: bytes) -> tuple[wire.FrameReader, ScriptedSocket]:
+    sock = ScriptedSocket(*chunks)
+    return wire.FrameReader(sock, bytearray()), sock
+
+
+class TestFrameReader:
+    FRAME = wire.encode_frame(wire.OP_GET, b"payload")
+
+    def test_whole_frame_costs_one_recv(self):
+        reader, sock = _reader(self.FRAME)
+        frame = wire.read_frame(reader)
+        assert frame == (wire.OP_GET, b"payload")
+        assert type(frame[1]) is bytes
+        assert sock.recvs == 1
+
+    def test_frame_arriving_one_byte_per_recv_is_reassembled(self):
+        reader, sock = _reader(*(self.FRAME[i:i + 1] for i in range(len(self.FRAME))))
+        assert wire.read_frame(reader) == (wire.OP_GET, b"payload")
+        assert sock.recvs == len(self.FRAME)
+        assert wire.read_frame(reader) is None
+
+    def test_leftover_bytes_serve_the_next_calls(self):
+        first = wire.encode_frame(wire.OP_PUT, b"one")
+        third = wire.encode_frame(wire.OP_SCAN, b"three")
+        reader, sock = _reader(first + self.FRAME + third[:6], third[6:])
+        assert wire.read_frame(reader) == (wire.OP_PUT, b"one")
+        assert wire.read_frame(reader) == (wire.OP_GET, b"payload")
+        assert sock.recvs == 1
+        assert wire.read_frame(reader) == (wire.OP_SCAN, b"three")
+        assert sock.recvs == 2
+
+    def test_clean_eof_at_a_frame_boundary_is_none(self):
+        assert wire.read_frame(_reader()[0]) is None
+        reader, _ = _reader(self.FRAME)
+        assert wire.read_frame(reader) == (wire.OP_GET, b"payload")
+        assert wire.read_frame(reader) is None
+
+    @pytest.mark.parametrize("cut", [1, 4, 5, 8])  # mid-header (1, 4) or mid-payload (5, 8)
+    def test_eof_mid_frame_is_connection_error(self, cut):
+        reader, _ = _reader(self.FRAME[:cut])
+        with pytest.raises(ConnectionError):
+            wire.read_frame(reader)
+
+    def test_oversized_header_is_protocol_error_with_its_opcode(self):
+        reader, _ = _reader((wire.MAX_PAYLOAD + 1).to_bytes(4, "big") + bytes([wire.OP_SCAN]))
+        with pytest.raises(wire.ProtocolError, match="exceeds") as exc:
+            wire.read_frame(reader)
+        assert exc.value.opcode == wire.OP_SCAN
+
+
 class TestRequestGoldenBytes:
     """Pin the wire format byte-for-byte so other implementations can match."""
 

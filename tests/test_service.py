@@ -101,15 +101,16 @@ def test_transparency_on_randomized_sequence(remote):
 def test_unknown_opcode_bad_request_and_connection_survives(server):
     handle, _ = server
     with socket.create_connection(handle.address, timeout=2.0) as sock:
+        reader = wire.FrameReader(sock, bytearray())
         sock.sendall(wire.encode_frame(0xFF, b"junk"))
-        frame = wire.read_frame(sock)
+        frame = wire.read_frame(reader)
         assert frame is not None
         opcode, payload = frame
         assert opcode == 0xFF
         assert payload == bytes([wire.ST_BAD_REQUEST])
         # same connection still serves valid requests
         sock.sendall(wire.encode_request(wire.GetRequest(encode_key(NS, 1))))
-        opcode, payload = wire.read_frame(sock)
+        opcode, payload = wire.read_frame(reader)
         assert opcode == wire.OP_GET
         assert payload == bytes([wire.ST_NOT_FOUND])
 
@@ -117,11 +118,12 @@ def test_unknown_opcode_bad_request_and_connection_survives(server):
 def test_malformed_payload_bad_request_and_connection_survives(server):
     handle, _ = server
     with socket.create_connection(handle.address, timeout=2.0) as sock:
+        reader = wire.FrameReader(sock, bytearray())
         sock.sendall(wire.encode_frame(wire.OP_GET, b"short"))
-        _, payload = wire.read_frame(sock)
+        _, payload = wire.read_frame(reader)
         assert payload == bytes([wire.ST_BAD_REQUEST])
         sock.sendall(wire.encode_request(wire.StatsRequest()))
-        opcode, payload = wire.read_frame(sock)
+        opcode, payload = wire.read_frame(reader)
         assert opcode == wire.OP_STATS
         assert payload[0] == wire.ST_OK
 
@@ -129,9 +131,10 @@ def test_malformed_payload_bad_request_and_connection_survives(server):
 def test_oversized_frame_bad_request_then_dropped(server):
     handle, _ = server
     with socket.create_connection(handle.address, timeout=2.0) as sock:
+        reader = wire.FrameReader(sock, bytearray())
         sock.sendall((wire.MAX_PAYLOAD + 1).to_bytes(4, "big") + bytes([wire.OP_GET]))
-        assert wire.read_frame(sock) == (wire.OP_GET, bytes([wire.ST_BAD_REQUEST]))
-        assert wire.read_frame(sock) is None  # framing is lost: the server hangs up
+        assert wire.read_frame(reader) == (wire.OP_GET, bytes([wire.ST_BAD_REQUEST]))
+        assert wire.read_frame(reader) is None  # framing is lost: the server hangs up
     with connect(handle.address) as backend:
         assert backend.get(encode_key(NS, 1)) is None
 
@@ -150,7 +153,7 @@ def test_oversized_response_header_is_transport_error_and_reconnects():
             conn, _ = listener.accept()
             with conn:
                 accepted.append(1)
-                wire.read_frame(conn)
+                wire.read_frame(wire.FrameReader(conn, bytearray()))
                 conn.sendall(reply)
                 conn.recv(1)  # hold the connection until the client drops it
 
@@ -166,6 +169,58 @@ def test_oversized_response_header_is_transport_error_and_reconnects():
         assert len(accepted) == 2
     finally:
         listener.close()
+
+
+def test_read_timeout_is_transport_error_and_reconnects():
+    """A peer that reads the request but never replies: the call raises
+    TransportError within the timeout and closes its socket, and the next
+    call reconnects to a peer that answers."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)
+    saw_eof: list[bool] = []
+
+    def peer() -> None:
+        for reply in (None, wire.encode_frame(wire.OP_GET, bytes([wire.ST_NOT_FOUND]))):
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5.0)
+                wire.read_frame(wire.FrameReader(conn, bytearray()))
+                if reply is None:
+                    saw_eof.append(conn.recv(1) == b"")  # silent until the client hangs up
+                else:
+                    conn.sendall(reply)
+                    conn.recv(1)
+
+    thread = threading.Thread(target=peer, daemon=True)
+    thread.start()
+    try:
+        with RemoteBackend(*listener.getsockname(), timeout=0.3) as backend:
+            started = time.monotonic()
+            # ``raised`` holds the failed call's frames and so its socket
+            # object: the peer sees EOF only if the client closes it.
+            with pytest.raises(TransportError) as raised:
+                backend.get(encode_key(NS, 1))
+            assert time.monotonic() - started < 2.0
+            assert backend.get(encode_key(NS, 1)) is None
+            assert saw_eof == [True]
+            assert "exchange failed" in str(raised.value)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+    finally:
+        listener.close()
+
+
+def test_request_sent_one_byte_at_a_time_is_answered(server):
+    handle, store = server
+    key = encode_key(NS, 3)
+    store.put(key, 33)
+    with socket.create_connection(handle.address, timeout=2.0) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for byte in wire.encode_request(wire.GetRequest(key)):
+            sock.sendall(bytes([byte]))
+            time.sleep(0.001)
+        opcode, payload = wire.read_frame(wire.FrameReader(sock, bytearray()))
+        assert wire.decode_response(opcode, payload) == wire.GetResponse(wire.ST_OK, 33)
 
 
 def test_stop_drains_in_flight_and_wakes_idle_connections():
@@ -192,8 +247,9 @@ def test_stop_drains_in_flight_and_wakes_idle_connections():
         stopper.join(timeout=5.0)
         assert not stopper.is_alive()
         assert time.monotonic() - started < 2.0
-        assert wire.read_frame(busy) == (wire.OP_GET, bytes([wire.ST_NOT_FOUND]))
-        assert wire.read_frame(idle) is None
+        assert wire.read_frame(wire.FrameReader(busy, bytearray())) == (
+            wire.OP_GET, bytes([wire.ST_NOT_FOUND]))
+        assert wire.read_frame(wire.FrameReader(idle, bytearray())) is None
     finally:
         release.set()
         for conn in conns:
@@ -222,12 +278,13 @@ def test_stop_cuts_off_a_peer_that_does_not_read_its_replies(monkeypatch):
 def test_stop_with_an_idle_connection_is_prompt():
     handle = serve(("127.0.0.1", 0), HybridMetaStore())
     with socket.create_connection(handle.address, timeout=5.0) as idle:
+        reader = wire.FrameReader(idle, bytearray())
         idle.sendall(wire.encode_request(wire.GetRequest(encode_key(NS, 1))))
-        assert wire.read_frame(idle) == (wire.OP_GET, bytes([wire.ST_NOT_FOUND]))
+        assert wire.read_frame(reader) == (wire.OP_GET, bytes([wire.ST_NOT_FOUND]))
         started = time.monotonic()
         handle.stop()
         assert time.monotonic() - started < 0.25
-        assert wire.read_frame(idle) is None
+        assert wire.read_frame(reader) is None
 
 
 def test_served_lru_pin_store_outlives_a_thousand_half_lives():
@@ -322,8 +379,9 @@ def test_per_connection_response_order(server):
         for bid in range(10):
             batch += wire.encode_request(wire.PutRequest(encode_key(NS, bid), bid))
         sock.sendall(batch)
+        reader = wire.FrameReader(sock, bytearray())
         for bid in range(10):
-            opcode, payload = wire.read_frame(sock)
+            opcode, payload = wire.read_frame(reader)
             assert opcode == wire.OP_PUT
             resp = wire.decode_response(opcode, payload)
             assert resp.old_value is None  # fresh inserts, ordered
