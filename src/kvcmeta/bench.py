@@ -83,9 +83,6 @@ class OpStream:
     ops: list[MetadataOp]
     preload: list[tuple[bytes, int]]
     mode: str
-    namespace: bytes
-    chunk_split: int
-    key_scheme: str
 
     @property
     def covered_positions(self) -> int:
@@ -143,39 +140,45 @@ def compile_ops(
             for bid in range(start_id, start_id + length):
                 append(MetadataOp(POINT_GET, t, ordinal, make_key(bid)))
 
-    for ordinal, req in enumerate(trace.requests):
-        ids = [b * k + j for b in req.block_ids for j in range(k)] if k > 1 else req.block_ids
-        if not ids:
-            continue
-        t = req.arrival_ms
-        bounds = run_bounds(ids)
-        for lo, hi in zip(bounds, bounds[1:]):
-            if mode == "preload":
-                reads(ids[lo], hi - lo, t, ordinal)
+    try:
+        for ordinal, req in enumerate(trace.requests):
+            ids = [b * k + j for b in req.block_ids for j in range(k)] if k > 1 else req.block_ids
+            if not ids:
                 continue
-            # Never-seen ids compile to inserts; each stretch of already-seen
-            # ids becomes reads. A run's ids are distinct, so marking one id
-            # seen never moves a later id of the run into the other group.
-            for was_seen, group in groupby(ids[lo:hi], seen.__contains__):
-                if was_seen:
-                    bids = list(group)
-                    reads(bids[0], len(bids), t, ordinal)
+            t = req.arrival_ms
+            bounds = run_bounds(ids)
+            for lo, hi in zip(bounds, bounds[1:]):
+                if mode == "preload":
+                    reads(ids[lo], hi - lo, t, ordinal)
                     continue
-                for bid in group:
-                    seen.add(bid)
-                    append(MetadataOp(INSERT, t, ordinal, make_key(bid), bid))
+                # Never-seen ids compile to inserts; each stretch of already-seen
+                # ids becomes reads. A run's ids are distinct, so marking one id
+                # seen never moves a later id of the run into the other group.
+                for was_seen, group in groupby(ids[lo:hi], seen.__contains__):
+                    if was_seen:
+                        bids = list(group)
+                        reads(bids[0], len(bids), t, ordinal)
+                        continue
+                    for bid in group:
+                        seen.add(bid)
+                        append(MetadataOp(INSERT, t, ordinal, make_key(bid), bid))
 
-    preload: list[tuple[bytes, int]] = []
-    if mode == "preload":
-        # First appearances, in order; b's chunk ids b*k .. b*k+k-1 first
-        # appear together, where b first does.
-        firsts = dict.fromkeys(chain.from_iterable(req.block_ids for req in trace.requests))
-        preload = [(make_key(bid), bid) for b in firsts for bid in range(b * k, b * k + k)]
-    return OpStream(ops, preload, mode, _ns_bytes(namespace), chunk_split, key_scheme)
-
-
-def _ns_bytes(namespace: bytes | str) -> bytes:
-    return namespace.encode("utf-8") if isinstance(namespace, str) else namespace
+        preload: list[tuple[bytes, int]] = []
+        if mode == "preload":
+            # First appearances, in order; b's chunk ids b*k .. b*k+k-1 first
+            # appear together, where b first does.
+            firsts = dict.fromkeys(chain.from_iterable(req.block_ids for req in trace.requests))
+            preload = [(make_key(bid), bid) for b in firsts for bid in range(b * k, b * k + k)]
+    except OverflowError:
+        # Only an id past 64 bits overflows: a chunk id, or the end key of a
+        # scan over a run that ends at the largest id.
+        top = max(chain.from_iterable(req.block_ids for req in trace.requests)) * k + k - 1
+        if top >= 1 << 64:
+            raise ValueError(f"chunk id {top} (chunk_split {k}) does not fit in 64 bits") from None
+        raise ValueError(
+            f"block id {top} ends a run, and the scan end id {top + 1} does not fit in 64 bits"
+        ) from None
+    return OpStream(ops, preload, mode)
 
 
 def _execute(op: MetadataOp, backend) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 
 from .analysis import HitRateCdf, ReuseTimeline, RunsTestReport
-from .bench import IntervalStats, LatencyLog, NormalizedRow
+from .bench import IntervalRow, IntervalStats, LatencyLog, NormalizedRow
 
 TOOL_VERSION = "0.1.0"
 
@@ -93,8 +93,6 @@ def write_normalized(path: str, rows: list[NormalizedRow]) -> None:
 
 def read_interval_stats(path: str) -> IntervalStats:
     """Load an interval_stats.csv produced by write_interval_stats."""
-    from .bench import IntervalRow  # local import to keep module load light
-
     stats = IntervalStats(interval_s=0, warmup_s=0)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")

@@ -25,7 +25,8 @@ tier (hit/miss counters, eviction policy). Policies:
   and per namespace the ``pin_first_n`` lowest block ids inserted so far are
   pinned, i.e. never evicted, capturing the persistently reused initial
   prefix blocks. Pins never exceed the capacity over all namespaces, and
-  scores are rebased every 512 half-lives, so there is no uptime limit.
+  scores are kept as logarithms, so they need no rescale and there is no
+  uptime limit.
 
 The hot tier needs a non-decreasing clock for its speed (the default is
 ``time.monotonic``): ``lru_pin`` takes most victims in O(1) from a queue
@@ -45,13 +46,12 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from hashlib import sha256
 from heapq import heapify, heappop, heappush, heapreplace
-from math import exp
+from math import exp, log1p
 
 NAMESPACE_BYTES = 24
 KEY_BYTES = 32
 
 _LN2 = math.log(2.0)
-REBASE = 512  # half-lives between score rebases; 2^512 is far below the float max
 
 
 class BadRangeError(ValueError):
@@ -174,14 +174,20 @@ class _LruTier:
 class _PinTier:
     """``lru_pin`` residency model: decayed hotness scores plus pinned ids.
 
-    Hotness is kept as a sum of exponentially growing access weights
-    2^(t/halflife): ratios between entries equal the ratios of their decayed
-    counters, so no periodic decay sweep is needed. The victim is the
-    unpinned entry with the least (score, last_seq). Each unpinned entry has
-    at least one representative whose (score, seq) is a lower bound of its
-    own, in one of two lazy queues; an item is current iff its seq is still
-    its entry's last_seq, and a stale item is re-filed in the heap at its
-    entry's score when it reaches a head:
+    Hotness is a sum of exponentially growing access weights
+    2^((t - t0)/halflife): ratios between entries equal the ratios of their
+    decayed counters, so no periodic decay sweep is needed. Each score is
+    kept as the natural log of that sum: an access weighs
+    (t - t0) ln2/halflife and is added by a log-add, which cannot overflow,
+    so there is no rescale and no uptime limit. A log score L resolves its
+    sum to a relative |L| 2^-53, so after U half-lives an access more than
+    about 53 - log2(U) half-lives older than an entry's newest adds nothing.
+
+    The victim is the unpinned entry with the least (score, last_seq).
+    Each unpinned entry has at least one representative whose (score, seq)
+    is a lower bound of its own, in one of two lazy queues; an item is
+    current iff its seq is still its entry's last_seq, and a stale item is
+    re-filed in the heap at its entry's score when it reaches a head:
 
     * ``_fifo``, (seq, key) items appended at admission. Under a
       non-decreasing clock weights do not fall in admission order, so the
@@ -202,13 +208,12 @@ class _PinTier:
         self.capacity = config.capacity_entries
         self.pin_first_n = config.pin_first_n
         self.halflife = config.hotness_halflife_s
-        self._rebase_span = REBASE * self.halflife
         self._clock = clock
         self._t0 = clock()
         self._seq = 0
-        self._entries: dict[bytes, list] = {}  # key -> [score, last_seq]
+        self._entries: dict[bytes, list] = {}  # key -> [log score, last_seq]
         self._fifo: deque[tuple[int, bytes]] = deque()
-        self._fifo_weight = 0.0  # weight of the last item appended to _fifo
+        self._fifo_weight = -math.inf  # weight of the last item appended to _fifo
         self._heap: list[tuple[float, int, bytes]] = []
         self._pin_ids: dict[bytes, list[int]] = {}
         self._pin_count = 0  # ids over all pin lists, kept <= capacity
@@ -255,15 +260,15 @@ class _PinTier:
     def touch(self, key: bytes) -> bool:
         """Access a key known to exist in the store. True iff it was resident
         (a cache hit); on a miss the entry is admitted."""
-        now = self._clock()
-        if now - self._t0 > self._rebase_span:
-            self._rebase(now)
-        weight = exp(_LN2 * (now - self._t0) / self.halflife)
+        weight = _LN2 * (self._clock() - self._t0) / self.halflife
         self._seq = seq = self._seq + 1
         entries = self._entries
         entry = entries.get(key)
         if entry is not None:
-            entry[0] += weight
+            hi, lo = entry[0], weight
+            if hi < lo:
+                hi, lo = lo, hi
+            entry[0] = hi + log1p(exp(lo - hi))
             entry[1] = seq
             return True
         entries[key] = [weight, seq]
@@ -301,19 +306,6 @@ class _PinTier:
                 del entries[heappop(heap)[2]]
         return False
 
-    def _rebase(self, now: float) -> None:
-        # ldexp by a power of two is exact above subnormals and never inverts
-        # two scores, but scores that underflow tie and then order by seq,
-        # so the heap is rebuilt. The FIFO stays sorted: its ties are in seq
-        # order already.
-        shift = REBASE * int((now - self._t0) // self._rebase_span)
-        self._t0 += shift * self.halflife
-        for e in self._entries.values():
-            e[0] = math.ldexp(e[0], -shift)
-        self._heap = [(math.ldexp(s, -shift), q, k) for s, q, k in self._heap]
-        heapify(self._heap)
-        self._fifo_weight = math.ldexp(self._fifo_weight, -shift)
-
     def evict(self, key: bytes) -> None:
         if self._entries.pop(key, None) is None:
             return
@@ -326,7 +318,7 @@ class _PinTier:
             self._heap = [(e[0], e[1], k) for k, e in self._entries.items() if k not in pinned]
             heapify(self._heap)
             self._fifo.clear()
-            self._fifo_weight = 0.0
+            self._fifo_weight = -math.inf
 
 
 class HybridMetaStore:

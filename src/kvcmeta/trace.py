@@ -78,10 +78,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.requests)
 
-    @property
-    def duration_ms(self) -> int:
-        return self.requests[-1].arrival_ms if self.requests else 0
-
 
 def _require_uint(record: dict, name: str, line_no: int) -> int:
     if name not in record:

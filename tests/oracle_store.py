@@ -66,11 +66,13 @@ class ModelStore:
 class ModelHotTier:
     """Brute-force reference for the ``lru_pin`` hot tier.
 
-    Same weight formula as the store; each eviction scans every resident for
-    the unpinned one with the least (score, last_seq). A key is pinned iff it
-    is in the store and its id is among the ``pin_first_n`` lowest ids ever
-    put in its namespace. Valid while namespaces x pin_first_n <= capacity
-    and the clock stays below 512 half-lives, where the store never rebases.
+    Same log-score arithmetic as the store: a score is the natural log of
+    the sum of its access weights 2^((t - t0)/halflife), so it never
+    overflows and the model holds for any uptime. Each eviction scans every
+    resident for the unpinned one with the least (score, last_seq). A key is
+    pinned iff it is in the store and its id is among the ``pin_first_n``
+    lowest ids ever put in its namespace. Valid while namespaces x
+    pin_first_n <= capacity.
     """
 
     def __init__(self, capacity: int, pin_first_n: int, halflife: float, clock):
@@ -96,8 +98,13 @@ class ModelHotTier:
 
     def _access(self, key: bytes) -> None:
         self.seq += 1
-        entry = self.entries.setdefault(key, [0.0, 0])
-        entry[0] += math.exp(math.log(2.0) * (self.clock() - self.t0) / self.halflife)
+        weight = math.log(2.0) * (self.clock() - self.t0) / self.halflife
+        entry = self.entries.get(key)
+        if entry is None:
+            self.entries[key] = entry = [weight, 0]
+        else:
+            hi, lo = max(entry[0], weight), min(entry[0], weight)
+            entry[0] = hi + math.log1p(math.exp(lo - hi))
         entry[1] = self.seq
         if len(self.entries) > self.capacity:
             victim = min((e[0], e[1], k) for k, e in self.entries.items() if not self._pinned(k))

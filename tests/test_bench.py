@@ -30,7 +30,7 @@ from kvcmeta.bench import (
 )
 from kvcmeta.analysis import segment_runs
 from kvcmeta.store import HybridMetaStore, decode_key, encode_key, hash_key
-from kvcmeta.trace import Trace, TraceRequest
+from kvcmeta.trace import Trace, TraceRequest, parse_trace
 
 NS = b"bench"
 
@@ -78,6 +78,18 @@ class TestCompilePreload:
     def test_chunk_split_zero_rejected(self):
         with pytest.raises(ValueError, match="chunk_split"):
             compile_ops(_trace([(0, [1])]), chunk_split=0)
+
+    def test_run_ending_at_the_largest_id_is_a_value_error(self):
+        # parse_trace accepts the id 2^64 - 1, but a scan over a run that
+        # ends there needs the end key of id 2^64.
+        trace = parse_trace('{"timestamp": 0, "input_length": 1, "output_length": 1, '
+                            '"hash_ids": [18446744073709551614, 18446744073709551615]}')
+        with pytest.raises(ValueError, match="block id 18446744073709551615 ends a run"):
+            compile_ops(trace)
+
+    def test_chunk_id_past_64_bits_is_a_value_error(self):
+        with pytest.raises(ValueError, match="chunk id 18446744073709551617"):
+            compile_ops(_trace([(0, [2**63])]), chunk_split=2)
 
     def test_fixture_compilation(self, fixture_trace):
         stream = compile_ops(fixture_trace, mode="preload", namespace=NS)
@@ -321,7 +333,7 @@ class TestReplay:
 
     def test_missing_keys_reported_as_miss(self, fixture_trace):
         stream = compile_ops(fixture_trace, mode="preload", namespace=NS)
-        empty_preload = bench.OpStream([], [], "preload", NS, 1, "ordered")
+        empty_preload = bench.OpStream([], [], "preload")
         empty_preload.ops = stream.ops
         log = replay(empty_preload, HybridMetaStore(), abort_error_rate=1.0)
         assert all(r.outcome == "miss" for r in log.records)

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import json
 import random
+import subprocess
 import sys
 import threading
 from array import array
@@ -108,3 +110,17 @@ def test_phase_absorbs_replay_records(perfbench):
         assert (phase.attempted, phase.failed) == (len(recs), failed)
         assert phase.replays[0].latency_ns == array("q", (r.latency_ns for r in recs))
         assert all(ns > 0 for ns in phase.replays[0].latency_ns)
+
+
+@pytest.mark.parametrize("workload", ["remote-mixed", pytest.param("read-pinned", marks=pytest.mark.slow)])
+def test_benchmark_workload_runs_and_checks_out(workload):
+    """A short run of each benchmark workload, as its command line starts it,
+    exits 0 with every op correct; this catches a package change that breaks
+    what the benchmark reads, such as a deleted field."""
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--seconds", "0.5"],
+        capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0)
