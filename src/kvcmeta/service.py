@@ -12,12 +12,18 @@ connection per calling thread, so concurrent workers never share a socket.
 Each end reads a connection through one ``protocol.FrameReader``, so a
 frame that arrives whole costs one ``recv``.
 
+The module counts the process's open connections, both ends: a handler from
+entry to exit, a client connection from connect until dropped or closed.
+While the count is 1, ``protocol.read_frame`` polls for up to
+``protocol.POLL_S`` before it sleeps, which costs that much CPU per wait.
+
 Transport failures (connect/reset/timeout/undecodable response) raise
 TransportError; they are never reported as a miss.
 """
 
 from __future__ import annotations
 
+import math
 import socket
 import socketserver
 import struct
@@ -55,10 +61,12 @@ class Backend(Protocol):
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         sock = self.request
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        reader = wire.FrameReader(sock, bytearray())
-        sendall, respond, backend = sock.sendall, self._respond, self.server.backend
+        wire.count_connections(1)
         try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # An accepted socket has a CPython timeout only under socket.setdefaulttimeout.
+            reader = wire.FrameReader(sock, bytearray(), sock.gettimeout() is None)
+            sendall, respond, backend = sock.sendall, self._respond, self.server.backend
             try:
                 while (frame := wire.read_frame(reader)) is not None:
                     sendall(respond(backend, *frame))
@@ -67,6 +75,8 @@ class _Handler(socketserver.BaseRequestHandler):
                 sendall(wire.error_response_frame(exc.opcode, wire.ST_BAD_REQUEST))
         except OSError:
             return  # reset, closed mid-frame, or shut down by stop()
+        finally:
+            wire.count_connections(-1)
 
     @staticmethod
     def _respond(backend: Backend, opcode: int, payload: bytes) -> bytes:
@@ -167,15 +177,22 @@ class RemoteBackend:
     """Backend adapter speaking the wire protocol over TCP.
 
     One connection per calling thread; an op maps to exactly one
-    request/response exchange. Safe for concurrent use by multiple workers.
-    ``timeout`` bounds the connect, each send and each recv, not the whole
-    call: kernel socket timeouts, which spare a ``poll`` per send and recv.
+    request/response exchange. Safe for concurrent use by multiple workers;
+    after close(), the next call from any thread opens a fresh connection.
+    ``timeout`` (seconds, positive and finite) bounds the connect, each send
+    and each recv, not the whole call: kernel socket timeouts, which spare a
+    ``poll`` per send and recv. A wait for a reply that polls first (see the
+    module docstring) may last ``protocol.POLL_S`` plus the timeout.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 1.0):
+        if not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite, got {timeout!r}")
         self._addr = (host, port)
         self._timeout = timeout
-        self._timeval = struct.pack("ll", *divmod(round(timeout * 1e6), 1_000_000))
+        # A zero timeval means "wait forever" to the kernel, so round up to 1 us.
+        usec = max(1, round(timeout * 1e6))
+        self._timeval = struct.pack("ll", *divmod(usec, 1_000_000))
         self._local = threading.local()
         self._conns: set[socket.socket] = set()
         self._conns_lock = threading.Lock()
@@ -190,15 +207,19 @@ class RemoteBackend:
         for opt in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
             sock.setsockopt(socket.SOL_SOCKET, opt, self._timeval)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        reader = self._local.reader = wire.FrameReader(sock, bytearray())
+        reader = wire.FrameReader(sock, bytearray(), True)
         with self._conns_lock:
             self._conns.add(sock)
+            wire.count_connections(1)
+            self._local.reader = reader
         return reader
 
     def _drop(self, sock: socket.socket) -> None:
         self._local.reader = None
         with self._conns_lock:
-            self._conns.discard(sock)
+            if sock in self._conns:  # close() may have counted it out already
+                self._conns.remove(sock)
+                wire.count_connections(-1)
         with suppress(OSError):
             sock.close()
 
@@ -248,6 +269,8 @@ class RemoteBackend:
     def close(self) -> None:
         with self._conns_lock:
             conns, self._conns = self._conns, set()
+            wire.count_connections(-len(conns))
+            self._local = threading.local()  # every thread's next call reconnects
         for sock in conns:
             with suppress(OSError):
                 sock.close()

@@ -322,6 +322,12 @@ class TestBenchFailurePaths:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_timeout_zero_is_rejected_before_any_op(self, trace_file, tmp_path, capsys):
+        rc = main(["bench", trace_file, "--out", str(tmp_path / "x"),
+                   "--backend", "remote:127.0.0.1:1", "--timeout", "0"])
+        assert rc == 1
+        assert "error: timeout must be positive" in capsys.readouterr().err
+
     def test_abort_threshold_marks_partial_outputs(self, trace_file, tmp_path, monkeypatch, capsys):
         from kvcmeta import bench as bench_mod
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+import socket
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,14 +44,23 @@ class TestFraming:
 
 
 class ScriptedSocket:
-    """Hands out one scripted chunk per recv, then EOF, and counts the recvs."""
+    """Hands out one scripted chunk per recv, then EOF, and counts the recvs
+    and records their flags. The first ``empty_polls`` non-blocking recvs
+    find nothing yet; a blocking recv waits them out."""
 
-    def __init__(self, *chunks: bytes):
+    def __init__(self, *chunks: bytes, empty_polls: int = 0):
         self.chunks = list(chunks)
+        self.empty_polls = empty_polls
         self.recvs = 0
+        self.flags: list[int] = []
 
-    def recv(self, bufsize: int) -> bytes:
+    def recv(self, bufsize: int, flags: int = 0) -> bytes:
         self.recvs += 1
+        self.flags.append(flags)
+        if flags & socket.MSG_DONTWAIT and self.empty_polls:
+            self.empty_polls -= 1
+            raise BlockingIOError
+        self.empty_polls = 0
         chunk = self.chunks.pop(0) if self.chunks else b""
         assert len(chunk) <= bufsize
         return chunk
@@ -103,6 +114,50 @@ class TestFrameReader:
         with pytest.raises(wire.ProtocolError, match="exceeds") as exc:
             wire.read_frame(reader)
         assert exc.value.opcode == wire.OP_SCAN
+
+
+class TestPolling:
+    """A counted reader polls with MSG_DONTWAIT for POLL_S while its
+    connection is the process's only counted one, then sleeps in one
+    blocking recv."""
+
+    FRAME = wire.encode_frame(wire.OP_GET, b"payload")
+    DONTWAIT = socket.MSG_DONTWAIT
+
+    @pytest.fixture(autouse=True)
+    def only_connection(self, monkeypatch):
+        monkeypatch.setattr(wire, "_open_connections", 1)
+
+    def test_frame_after_k_empty_polls_needs_no_blocking_recv(self, monkeypatch):
+        monkeypatch.setattr(wire, "perf_counter", lambda: 0.0)  # the budget never runs out
+        sock = ScriptedSocket(self.FRAME, empty_polls=5)
+        assert wire.read_frame(wire.FrameReader(sock, bytearray(), True)) == (
+            wire.OP_GET, b"payload")
+        assert sock.flags == [self.DONTWAIT] * 6
+
+    def test_spent_budget_is_followed_by_exactly_one_blocking_recv(self, monkeypatch):
+        monkeypatch.setattr(wire, "POLL_S", 50e-6)
+        monkeypatch.setattr(wire, "perf_counter", itertools.count(0.0, 20e-6).__next__)
+        sock = ScriptedSocket(self.FRAME, empty_polls=10**6)
+        assert wire.read_frame(wire.FrameReader(sock, bytearray(), True)) == (
+            wire.OP_GET, b"payload")
+        # clock reads: deadline 50 us; misses seen at 20, 40 and 60 us
+        assert sock.flags == [self.DONTWAIT] * 3 + [0]
+
+    def test_eof_while_polling_is_none(self):
+        sock = ScriptedSocket(empty_polls=2)
+        assert wire.read_frame(wire.FrameReader(sock, bytearray(), True)) is None
+        assert sock.flags == [self.DONTWAIT] * 3
+
+    @pytest.mark.parametrize("polls, open_connections", [(True, 2), (False, 1)])
+    def test_no_polling_beside_another_connection_or_when_not_counted(
+            self, monkeypatch, polls, open_connections):
+        monkeypatch.setattr(wire, "_open_connections", open_connections)
+        sock = ScriptedSocket(self.FRAME[:3], self.FRAME[3:], empty_polls=5)
+        assert wire.read_frame(wire.FrameReader(sock, bytearray(), polls)) == (
+            wire.OP_GET, b"payload")
+        assert wire.read_frame(wire.FrameReader(sock, bytearray(), polls)) is None
+        assert sock.flags == [0, 0, 0]
 
 
 class TestRequestGoldenBytes:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 import socket
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -13,6 +16,23 @@ from kvcmeta.store import BadRangeError, CacheConfig, HybridMetaStore, encode_ke
 from oracle_store import ModelStore
 
 NS = b"svc"
+
+
+def _wait_for_count(expected: int, timeout_s: float = 5.0) -> None:
+    """A handler counts itself out when it sees its peer's EOF, after the
+    peer's close returns, so wait for it."""
+    deadline = time.monotonic() + timeout_s
+    while wire._open_connections != expected and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert wire._open_connections == expected
+
+
+@pytest.fixture(autouse=True)
+def connection_count():
+    """Every test leaves the process's open-connection count as it found it."""
+    start = wire._open_connections
+    yield start
+    _wait_for_count(start)
 
 
 @pytest.fixture
@@ -128,13 +148,14 @@ def test_malformed_payload_bad_request_and_connection_survives(server):
         assert payload[0] == wire.ST_OK
 
 
-def test_oversized_frame_bad_request_then_dropped(server):
+def test_oversized_frame_bad_request_then_dropped(server, connection_count):
     handle, _ = server
     with socket.create_connection(handle.address, timeout=2.0) as sock:
         reader = wire.FrameReader(sock, bytearray())
         sock.sendall((wire.MAX_PAYLOAD + 1).to_bytes(4, "big") + bytes([wire.OP_GET]))
         assert wire.read_frame(reader) == (wire.OP_GET, bytes([wire.ST_BAD_REQUEST]))
         assert wire.read_frame(reader) is None  # framing is lost: the server hangs up
+        assert wire._open_connections == connection_count  # counted out before it closed
     with connect(handle.address) as backend:
         assert backend.get(encode_key(NS, 1)) is None
 
@@ -160,10 +181,14 @@ def test_oversized_response_header_is_transport_error_and_reconnects():
     thread = threading.Thread(target=fake_server, daemon=True)
     thread.start()
     try:
+        start = wire._open_connections
         with RemoteBackend(*listener.getsockname(), timeout=2.0) as backend:
             with pytest.raises(TransportError):
                 backend.get(encode_key(NS, 1))
+            assert wire._open_connections == start  # dropped and counted out
             assert backend.get(encode_key(NS, 1)) is None
+            assert wire._open_connections == start + 1
+        assert wire._open_connections == start
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         assert len(accepted) == 2
@@ -349,6 +374,95 @@ def test_stopped_server_raises_transport_error():
         for _ in range(3):  # first call may still see the draining socket
             backend.get(key)
     backend.close()
+
+
+def test_connection_count_covers_both_ends_until_close(server, connection_count):
+    handle, _ = server
+    backend = connect(handle.address)
+    backend.get(encode_key(NS, 1))
+    assert wire._open_connections == connection_count + 2  # this client and its handler
+    backend.close()
+    backend.close()
+    _wait_for_count(connection_count)
+
+
+def test_connection_count_after_server_stop_and_the_failed_call(connection_count):
+    handle = serve(("127.0.0.1", 0), HybridMetaStore())
+    backend = connect(handle.address, timeout=0.5)
+    backend.get(encode_key(NS, 1))
+    handle.stop()
+    assert wire._open_connections == connection_count + 1  # the handler is gone
+    with pytest.raises(TransportError):
+        for _ in range(3):  # first call may still see the draining socket
+            backend.get(encode_key(NS, 1))
+    assert wire._open_connections == connection_count
+    backend.close()
+    assert wire._open_connections == connection_count  # not counted out twice
+
+
+def test_connection_count_is_exact_under_thread_switching(server):
+    """Counting is a read-modify-write: eight threads opening and closing
+    connections at a tiny switch interval must lose no update (checked by
+    the ``connection_count`` fixture)."""
+    handle, _ = server
+    failures: list[Exception] = []
+
+    def churn() -> None:
+        try:
+            for _ in range(20):
+                with connect(handle.address, timeout=5.0) as backend:
+                    backend.stats()
+        except Exception as exc:  # propagated after join
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not failures
+
+
+def test_call_after_close_reconnects_on_every_thread(server):
+    handle, _ = server
+    key = encode_key(NS, 4)
+    backend = connect(handle.address)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        backend.put(key, 44)
+        assert pool.submit(backend.get, key).result(timeout=5.0) == 44
+        backend.close()
+        assert backend.get(key) == 44
+        assert pool.submit(backend.get, key).result(timeout=5.0) == 44
+    backend.close()
+
+
+@pytest.mark.parametrize("timeout", [0, -1.0, math.inf, math.nan])
+def test_timeout_must_be_positive_and_finite(timeout):
+    with pytest.raises(ValueError, match="timeout"):
+        RemoteBackend("127.0.0.1", 1, timeout=timeout)
+
+
+def test_sub_microsecond_timeout_still_bounds_the_wait():
+    """1e-7 s once rounded to a zero timeval, which the kernel reads as no
+    timeout: the call then waited until the peer went away."""
+    listener = socket.create_server(("127.0.0.1", 0))  # accepts nothing, never replies
+    closer = threading.Timer(3.0, listener.close)  # resets the pending connection
+    closer.start()
+    try:
+        with RemoteBackend(*listener.getsockname(), timeout=1e-7) as backend:
+            started = time.monotonic()
+            with pytest.raises(TransportError, match="exchange failed"):
+                backend.get(encode_key(NS, 1))
+            assert time.monotonic() - started < 1.0
+    finally:
+        closer.cancel()
+        listener.close()
 
 
 def test_connect_refused_is_transport_error():
