@@ -53,14 +53,13 @@ def make_backend(spec: str, timeout: float = 1.0):
     """
     if spec == "inproc" or spec.startswith("inproc:"):
         cfg = parse_cache_config(spec.partition(":")[2])
-        return HybridMetaStore(cache=cfg), spec
+        return HybridMetaStore(cache=cfg)
     if spec.startswith("remote:"):
-        backend = connect(spec[len("remote:"):], timeout=timeout)
-        return backend, spec
+        return connect(spec[len("remote:"):], timeout=timeout)
     if spec.startswith("external:"):
         from .external import ExternalBackend
 
-        return ExternalBackend(spec[len("external:"):]), spec
+        return ExternalBackend(spec[len("external:"):])
     raise ValueError(f"unknown backend spec {spec!r}")
 
 
@@ -138,7 +137,7 @@ def cmd_bench(args) -> int:
         chunk_split=args.chunk_split,
         key_scheme=args.key_scheme,
     )
-    backend, descriptor = make_backend(args.backend, timeout=args.timeout)
+    backend = make_backend(args.backend, timeout=args.timeout)
     os.makedirs(args.out, exist_ok=True)
 
     aborted = False
@@ -165,7 +164,7 @@ def cmd_bench(args) -> int:
     report.write_latency_log(os.path.join(args.out, "latency_log.csv"), latency_log)
     report.write_interval_stats(os.path.join(args.out, "interval_stats.csv"), stats)
     _manifest(args, started, trace.label, report.sha256_file(args.trace),
-              backend=descriptor, aborted=aborted).write(args.out)
+              backend=args.backend, aborted=aborted).write(args.out)
 
     by_kind: dict[str, list[int]] = {}
     misses = 0
@@ -318,6 +317,15 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _interval(text: str) -> float:
+    """A positive wait in seconds that ``threading.Event.wait`` accepts."""
+    seconds = float(text)
+    if not 0 < seconds <= threading.TIMEOUT_MAX:
+        raise argparse.ArgumentTypeError(f"must be positive and at most "
+                                         f"{threading.TIMEOUT_MAX:g}, got {text}")
+    return seconds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kvcmeta",
@@ -358,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", default="127.0.0.1:7440")
     p.add_argument("--cache", default="", help="cache config, e.g. policy=lru_pin,capacity=4096")
     p.add_argument("--max-entries", type=int, default=None)
-    p.add_argument("--stats-interval", type=float, default=60.0)
+    p.add_argument("--stats-interval", type=_interval, default=60.0,
+                   help="seconds between stats log lines")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("synth", help="generate a synthetic trace from a JSON config", **fmt)

@@ -14,10 +14,11 @@ thread wakes. The cost is CPU, at most ``POLL_S`` per wait, so an idle
 connection costs almost nothing. Beside other connections a polling thread
 would keep the GIL from threads with work, so every wait sleeps at once.
 
-One row of ``_OPS`` defines an opcode: its request message and layout, the
-``Backend`` method the server calls with the request's fields, its response
-message, which is always (status, that method's return value), the status
-of a ``None`` return value, and the codec of the response body.
+Messages are plain tuples. A request is (opcode, *fields) and a response is
+(opcode, status, result), where result is the return value of the
+``Backend`` method the request names. One row of ``_OPS`` defines an opcode:
+its request layout, that method, the status of a ``None`` return value, and
+the codec of the response body.
 
 Request payloads (all integers big-endian, keys fixed 32 bytes, values u64):
 
@@ -46,7 +47,6 @@ from __future__ import annotations
 import socket
 import struct
 import threading
-from dataclasses import dataclass, fields
 from time import perf_counter
 from typing import Any, Callable, NamedTuple
 
@@ -92,71 +92,23 @@ class ProtocolError(ValueError):
         self.opcode = opcode
 
 
-@dataclass
-class PutRequest:
-    key: bytes
-    value: int
+# Constructors of the message tuples; an error response's result is None.
+
+def PutRequest(key, value): return (OP_PUT, key, value)
+def GetRequest(key): return (OP_GET, key)
+def ScanRequest(start, end_exclusive, max_results): return (OP_SCAN, start, end_exclusive, max_results)
+def DeleteRequest(key): return (OP_DELETE, key)
+def StatsRequest(): return (OP_STATS,)
+def PutResponse(status, old_value=None): return (OP_PUT, status, old_value)
+def GetResponse(status, value=None): return (OP_GET, status, value)
+def ScanResponse(status, entries=None): return (OP_SCAN, status, entries)
+def DeleteResponse(status, removed=None): return (OP_DELETE, status, removed)
+def StatsResponse(status, stats=None): return (OP_STATS, status, stats)
 
 
-@dataclass
-class GetRequest:
-    key: bytes
-
-
-@dataclass
-class ScanRequest:
-    start: bytes
-    end_exclusive: bytes
-    max_results: int
-
-
-@dataclass
-class DeleteRequest:
-    key: bytes
-
-
-@dataclass
-class StatsRequest:
-    pass
-
-
-@dataclass
-class PutResponse:
-    status: int
-    old_value: int | None = None
-
-
-@dataclass
-class GetResponse:
-    status: int
-    value: int | None = None
-
-
-@dataclass
-class ScanResponse:
-    status: int
-    entries: tuple[tuple[bytes, int], ...] = ()
-
-
-@dataclass
-class DeleteResponse:
-    status: int
-    removed: bool = False
-
-
-@dataclass
-class StatsResponse:
-    status: int
-    stats: IndexStats | None = None
-
-
-Request = PutRequest | GetRequest | ScanRequest | DeleteRequest | StatsRequest
-Response = PutResponse | GetResponse | ScanResponse | DeleteResponse | StatsResponse
-
-
-def _check_key(key: bytes, what: str = "key") -> None:
+def _check_key(key: bytes) -> None:
     if len(key) != KEY_BYTES:
-        raise ProtocolError(f"{what} must be {KEY_BYTES} bytes, got {len(key)}")
+        raise ProtocolError(f"key must be {KEY_BYTES} bytes, got {len(key)}")
 
 
 # Response bodies: each pair maps a Backend method's return value to and from
@@ -216,48 +168,33 @@ def _decode_stats(body: bytes) -> IndexStats:
 
 
 class _Op(NamedTuple):
-    """One opcode: request layout, server method, response and its body codec."""
+    """One opcode: request layout, server method and the response body codec."""
 
-    opcode: int
-    request: type
     payload: struct.Struct  # request payload, one code per field in field order
     header: bytes  # request frame header, fixed since the payload size is
-    keys: tuple[str, ...]  # request fields that must be KEY_BYTES long
+    keys: tuple[int, ...]  # request tuple positions that must hold KEY_BYTES
     method: str  # the Backend method called with the request's fields
-    response: type  # (status, the method's return value)
     absent: int  # the status of a None return value; any other value is OK
     encode_body: Callable[[Any], bytes]
     decode_body: Callable[[bytes], Any]
 
 
-def _op(opcode: int, request: type, layout: tuple[str, ...], method: str, response: type,
-        absent: int, encode_body: Callable[[Any], bytes],
-        decode_body: Callable[[bytes], Any]) -> _Op:
+def _op(opcode: int, layout: tuple[str, ...], method: str, absent: int,
+        encode_body: Callable[[Any], bytes], decode_body: Callable[[bytes], Any]) -> _Op:
     """Table row; ``layout`` is each request field's struct code, in field order."""
-    names = [f.name for f in fields(request)]
-    keys = tuple(n for n, code in zip(names, layout, strict=True) if code == _KEY)
+    keys = tuple(i for i, code in enumerate(layout, 1) if code == _KEY)
     payload = struct.Struct(">" + "".join(layout))
-    return _Op(opcode, request, payload, _HEADER.pack(payload.size, opcode), keys,
-               method, response, absent, encode_body, decode_body)
+    return _Op(payload, _HEADER.pack(payload.size, opcode), keys, method, absent,
+               encode_body, decode_body)
 
 
 _OPS = {
-    op.opcode: op
-    for op in (
-        _op(OP_PUT, PutRequest, (_KEY, "Q"), "put",
-            PutResponse, ST_OK, _encode_put, _decode_put),
-        _op(OP_GET, GetRequest, (_KEY,), "get",
-            GetResponse, ST_NOT_FOUND, _encode_get, _decode_get),
-        _op(OP_SCAN, ScanRequest, (_KEY, _KEY, "I"), "scan",
-            ScanResponse, ST_OK, _encode_scan, _decode_scan),
-        _op(OP_DELETE, DeleteRequest, (_KEY,), "delete",
-            DeleteResponse, ST_OK, _encode_delete, _decode_delete),
-        _op(OP_STATS, StatsRequest, (), "stats",
-            StatsResponse, ST_OK, _encode_stats, _decode_stats),
-    )
+    OP_PUT: _op(OP_PUT, (_KEY, "Q"), "put", ST_OK, _encode_put, _decode_put),
+    OP_GET: _op(OP_GET, (_KEY,), "get", ST_NOT_FOUND, _encode_get, _decode_get),
+    OP_SCAN: _op(OP_SCAN, (_KEY, _KEY, "I"), "scan", ST_OK, _encode_scan, _decode_scan),
+    OP_DELETE: _op(OP_DELETE, (_KEY,), "delete", ST_OK, _encode_delete, _decode_delete),
+    OP_STATS: _op(OP_STATS, (), "stats", ST_OK, _encode_stats, _decode_stats),
 }
-_OP_OF_REQUEST = {op.request: op for op in _OPS.values()}
-_OP_OF_RESPONSE = {op.response: op for op in _OPS.values()}
 
 
 def encode_frame(opcode: int, payload: bytes) -> bytes:
@@ -352,33 +289,33 @@ def read_frame(reader: FrameReader) -> tuple[int, bytes] | None:
         buf += chunk
 
 
-def encode_request(req: Request) -> bytes:
-    """Full request frame for any request message."""
-    op = _OP_OF_REQUEST.get(type(req))
+def encode_request(req: tuple) -> bytes:
+    """Full request frame for a request tuple (opcode, *fields)."""
+    op = _OPS.get(req[0])
     if op is None:
-        raise ProtocolError(f"not a request message: {req!r}")
-    values = req.__dict__  # set by the dataclass __init__, in field order
-    for name in op.keys:
-        _check_key(values[name], name)
-    return op.header + op.payload.pack(*values.values())
+        raise ProtocolError(f"not a request: {req!r}")
+    for i in op.keys:
+        _check_key(req[i])
+    return op.header + op.payload.pack(*req[1:])
 
 
-def decode_request(opcode: int, payload: bytes) -> Request:
-    """Parse a request payload; ProtocolError on unknown opcode or bad size."""
+def decode_request(opcode: int, payload: bytes) -> tuple:
+    """Parse a request payload into (opcode, *fields); ProtocolError on an
+    unknown opcode or a bad size."""
     op = _OPS.get(opcode)
     if op is None:
         raise ProtocolError(f"unknown opcode {opcode}")
     if len(payload) != op.payload.size:
-        raise ProtocolError(f"{op.request.__name__} payload must be {op.payload.size} bytes")
-    return op.request(*op.payload.unpack(payload))
+        raise ProtocolError(f"{op.method.upper()} payload must be {op.payload.size} bytes")
+    return (opcode, *op.payload.unpack(payload))
 
 
-def encode_response(resp: Response) -> bytes:
-    """Response payload bytes (status byte first)."""
-    op = _OP_OF_RESPONSE.get(type(resp))
+def encode_response(resp: tuple) -> bytes:
+    """Response payload bytes (status byte first) for (opcode, status, result)."""
+    opcode, status, result = resp
+    op = _OPS.get(opcode)
     if op is None:
-        raise ProtocolError(f"not a response message: {resp!r}")
-    status, result = resp.__dict__.values()  # set by the dataclass __init__
+        raise ProtocolError(f"not a response: {resp!r}")
     if status in _ERRORS:
         return _STATUS[status]
     if status != (op.absent if result is None else ST_OK):
@@ -386,8 +323,9 @@ def encode_response(resp: Response) -> bytes:
     return _STATUS[status] + op.encode_body(result)
 
 
-def decode_response(opcode: int, payload: bytes) -> Response:
-    """Parse a response payload for the given request opcode."""
+def decode_response(opcode: int, payload: bytes) -> tuple:
+    """Parse a response payload for the given request opcode into
+    (opcode, status, result)."""
     op = _OPS.get(opcode)
     if op is None:
         raise ProtocolError(f"unknown opcode {opcode}")
@@ -397,14 +335,14 @@ def decode_response(opcode: int, payload: bytes) -> Response:
     if status in _ERRORS:
         if body:
             raise ProtocolError("error response carries no body")
-        return op.response(status)
+        return opcode, status, None
     try:
         result = op.decode_body(body)
     except struct.error as exc:
-        raise ProtocolError(f"malformed {op.response.__name__}: {exc}") from exc
+        raise ProtocolError(f"malformed {op.method.upper()} response: {exc}") from exc
     if status != (op.absent if result is None else ST_OK):
-        raise ProtocolError(f"status {status} does not fit a {op.response.__name__}")
-    return op.response(status, result)
+        raise ProtocolError(f"status {status} does not fit a {op.method.upper()} response")
+    return opcode, status, result
 
 
 def error_response_frame(opcode: int, status: int) -> bytes:

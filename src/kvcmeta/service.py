@@ -5,15 +5,16 @@ HybridMetaStore's semantics) can be served over the wire or driven by the
 bench replayer; the remote client itself satisfies the same contract, so a
 benchmark cannot tell a local store from a served one apart from latency.
 
-Per-connection ordering: the server answers each connection's requests
+Per-connection ordering: ``StoreServer``, one ``ThreadingTCPServer`` that
+serves each connection on its own thread, answers a connection's requests
 strictly in arrival order, one response frame per request frame. Requests on
 different connections interleave arbitrarily. The remote client keeps one
 connection per calling thread, so concurrent workers never share a socket.
 Each end reads a connection through one ``protocol.FrameReader``, so a
 frame that arrives whole costs one ``recv``.
 
-The module counts the process's open connections, both ends: a handler from
-entry to exit, a client connection from connect until dropped or closed.
+The module counts the process's open connections, both ends: a served one
+while its thread serves it, a client one from connect until dropped or closed.
 While the count is 1, ``protocol.read_frame`` polls for up to
 ``protocol.POLL_S`` before it sleeps, which costs that much CPU per wait.
 
@@ -23,7 +24,6 @@ TransportError; they are never reported as a miss.
 
 from __future__ import annotations
 
-import math
 import socket
 import socketserver
 import struct
@@ -58,53 +58,31 @@ class Backend(Protocol):
     def stats(self) -> IndexStats: ...
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:
-        sock = self.request
-        wire.count_connections(1)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # An accepted socket has a CPython timeout only under socket.setdefaulttimeout.
-            reader = wire.FrameReader(sock, bytearray(), sock.gettimeout() is None)
-            sendall, respond, backend = sock.sendall, self._respond, self.server.backend
-            try:
-                while (frame := wire.read_frame(reader)) is not None:
-                    sendall(respond(backend, *frame))
-            except wire.ProtocolError as exc:
-                # Framing cannot be trusted past an oversized header; reject and drop.
-                sendall(wire.error_response_frame(exc.opcode, wire.ST_BAD_REQUEST))
-        except OSError:
-            return  # reset, closed mid-frame, or shut down by stop()
-        finally:
-            wire.count_connections(-1)
+class StoreServer(socketserver.ThreadingTCPServer):
+    """A store service with one thread per connection; stop() drains
+    in-flight requests."""
 
-    @staticmethod
-    def _respond(backend: Backend, opcode: int, payload: bytes) -> bytes:
-        try:
-            req = wire.decode_request(opcode, payload)
-        except wire.ProtocolError:
-            return wire.error_response_frame(opcode, wire.ST_BAD_REQUEST)
-        op = wire._OPS[opcode]
-        try:
-            result = getattr(backend, op.method)(*req.__dict__.values())  # fields in order
-            resp = op.response(op.absent if result is None else wire.ST_OK, result)
-            return wire.encode_frame(opcode, wire.encode_response(resp))
-        except BadRangeError:
-            return wire.error_response_frame(opcode, wire.ST_BAD_REQUEST)
-        except Exception:
-            return wire.error_response_frame(opcode, wire.ST_INTERNAL)
-
-
-class _TcpServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = False
     block_on_close = True
+    DRAIN_S = 5.0  # how long stop() lets connections finish before cutting them off
+    POLL_S = 0.05  # how often the accept loop checks for stop(); bounds its latency
 
-    def __init__(self, address, handler, backend: Backend):
+    def __init__(self, address: tuple[str, int], backend: Backend):
         self.backend = backend
         self._open: set[socket.socket] = set()
         self._open_changed = threading.Condition()
-        super().__init__(address, handler)
+        super().__init__(address, None)  # finish_request serves, not a handler class
+        self._acceptor = threading.Thread(target=self.serve_forever, args=(self.POLL_S,),
+                                          daemon=True)
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.server_address[:2]
+
+    def start(self) -> "StoreServer":
+        self._acceptor.start()
+        return self
 
     def process_request(self, request, client_address) -> None:
         with self._open_changed:
@@ -117,10 +95,46 @@ class _TcpServer(socketserver.ThreadingTCPServer):
             self._open_changed.notify_all()
         super().shutdown_request(request)
 
-    def close_connections(self, drain_s: float) -> None:
-        """Shut reading down on every open connection: idle handlers see EOF
-        and busy ones send their reply. After ``drain_s``, shut writing down
-        too, which ends handlers blocked on a peer that does not read."""
+    def finish_request(self, sock, client_address) -> None:
+        """Answer the connection's frames in order until EOF, reset or stop()."""
+        wire.count_connections(1)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # An accepted socket has a CPython timeout only under socket.setdefaulttimeout.
+            reader = wire.FrameReader(sock, bytearray(), sock.gettimeout() is None)
+            sendall, respond = sock.sendall, self._respond
+            try:
+                while (frame := wire.read_frame(reader)) is not None:
+                    sendall(respond(*frame))
+            except wire.ProtocolError as exc:
+                # Framing cannot be trusted past an oversized header; reject and drop.
+                sendall(wire.error_response_frame(exc.opcode, wire.ST_BAD_REQUEST))
+        except OSError:
+            return  # reset, closed mid-frame, or shut down by stop()
+        finally:
+            wire.count_connections(-1)
+
+    def _respond(self, opcode: int, payload: bytes) -> bytes:
+        try:
+            req = wire.decode_request(opcode, payload)
+        except wire.ProtocolError:
+            return wire.error_response_frame(opcode, wire.ST_BAD_REQUEST)
+        op = wire._OPS[opcode]
+        try:
+            result = getattr(self.backend, op.method)(*req[1:])
+            resp = (opcode, op.absent if result is None else wire.ST_OK, result)
+            return wire.encode_frame(opcode, wire.encode_response(resp))
+        except BadRangeError:
+            return wire.error_response_frame(opcode, wire.ST_BAD_REQUEST)
+        except Exception:
+            return wire.error_response_frame(opcode, wire.ST_INTERNAL)
+
+    def stop(self) -> None:
+        """Stop accepting, then shut reading down on every open connection:
+        idle ones see EOF and busy ones send their reply. After ``DRAIN_S``,
+        shut writing down too, which ends a connection thread blocked on a
+        peer that does not read."""
+        self.shutdown()  # no new connections after this returns
         with self._open_changed:
             for how in (socket.SHUT_RD, socket.SHUT_RDWR):
                 for sock in self._open:
@@ -128,37 +142,9 @@ class _TcpServer(socketserver.ThreadingTCPServer):
                         sock.shutdown(how)
                     except OSError:
                         pass
-                self._open_changed.wait_for(lambda: not self._open, drain_s)
-
-
-class StoreServer:
-    """A running store service; stop() drains in-flight requests."""
-
-    DRAIN_S = 5.0  # how long stop() lets handlers finish before cutting them off
-    POLL_S = 0.05  # how often the accept loop checks for stop(); bounds its latency
-
-    def __init__(self, address: tuple[str, int], backend: Backend):
-        self._server = _TcpServer(address, _Handler, backend)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, args=(self.POLL_S,), daemon=True
-        )
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._server.server_address[:2]
-
-    def start(self) -> "StoreServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()  # no new connections after this returns
-        self._server.close_connections(self.DRAIN_S)
-        self._server.server_close()  # joins the handler threads
-        self._thread.join(timeout=10.0)
-
-    def __enter__(self) -> "StoreServer":
-        return self
+                self._open_changed.wait_for(lambda: not self._open, self.DRAIN_S)
+        self.server_close()  # joins the connection threads
+        self._acceptor.join(timeout=10.0)
 
     def __exit__(self, *exc) -> None:
         self.stop()
@@ -179,15 +165,17 @@ class RemoteBackend:
     One connection per calling thread; an op maps to exactly one
     request/response exchange. Safe for concurrent use by multiple workers;
     after close(), the next call from any thread opens a fresh connection.
-    ``timeout`` (seconds, positive and finite) bounds the connect, each send
-    and each recv, not the whole call: kernel socket timeouts, which spare a
+    ``timeout`` (seconds, positive and at most ``threading.TIMEOUT_MAX``,
+    CPython's largest socket timeout) bounds the connect, each send and each
+    recv, not the whole call: kernel socket timeouts, which spare a
     ``poll`` per send and recv. A wait for a reply that polls first (see the
     module docstring) may last ``protocol.POLL_S`` plus the timeout.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 1.0):
-        if not 0 < timeout < math.inf:
-            raise ValueError(f"timeout must be positive and finite, got {timeout!r}")
+        if not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be positive and at most {threading.TIMEOUT_MAX:g}"
+                             f" s, got {timeout!r}")
         self._addr = (host, port)
         self._timeout = timeout
         # A zero timeval means "wait forever" to the kernel, so round up to 1 us.
@@ -223,8 +211,9 @@ class RemoteBackend:
         with suppress(OSError):
             sock.close()
 
-    def _call(self, req: wire.Request):
-        """One exchange; returns the backend method's result that the reply carries."""
+    def _call(self, *req):
+        """One exchange of the request (opcode, *fields); returns the backend
+        method's result that the reply carries."""
         frame = wire.encode_request(req)
         reader = getattr(self._local, "reader", None) or self._connect()
         try:
@@ -234,7 +223,7 @@ class RemoteBackend:
                 raise ConnectionError("connection closed by server")
             if reply[0] != frame[4]:  # the request's opcode byte, after the u32 length
                 raise wire.ProtocolError(f"response opcode {reply[0]} != request {frame[4]}")
-            status, result = wire.decode_response(*reply).__dict__.values()
+            _, status, result = wire.decode_response(*reply)
         except (OSError, wire.ProtocolError) as exc:
             self._drop(reader.sock)
             raise TransportError(f"exchange failed: {exc}") from exc
@@ -245,10 +234,10 @@ class RemoteBackend:
         return result
 
     def put(self, key: bytes, value: int) -> int | None:
-        return self._call(wire.PutRequest(key, value))
+        return self._call(wire.OP_PUT, key, value)
 
     def get(self, key: bytes) -> int | None:
-        return self._call(wire.GetRequest(key))
+        return self._call(wire.OP_GET, key)
 
     def scan(
         self, start: bytes, end_exclusive: bytes, max_results: int | None = None
@@ -258,13 +247,13 @@ class RemoteBackend:
         mx = _UNLIMITED if max_results is None else max_results
         if not 0 <= mx <= _UNLIMITED:
             raise ValueError("max_results out of u32 range")
-        return list(self._call(wire.ScanRequest(start, end_exclusive, mx)))
+        return list(self._call(wire.OP_SCAN, start, end_exclusive, mx))
 
     def delete(self, key: bytes) -> bool:
-        return self._call(wire.DeleteRequest(key))
+        return self._call(wire.OP_DELETE, key)
 
     def stats(self) -> IndexStats:
-        return self._call(wire.StatsRequest())
+        return self._call(wire.OP_STATS)
 
     def close(self) -> None:
         with self._conns_lock:

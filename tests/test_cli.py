@@ -12,7 +12,7 @@ import pytest
 
 from conftest import make_fixture_trace
 from kvcmeta import report
-from kvcmeta.cli import main, make_backend, parse_cache_config
+from kvcmeta.cli import build_parser, main, make_backend, parse_cache_config
 from kvcmeta.service import RemoteBackend
 from kvcmeta.store import CacheConfig, HybridMetaStore
 from kvcmeta.trace import save_trace
@@ -47,9 +47,9 @@ class TestParseHelpers:
                 parse_cache_config(text)
 
     def test_make_backend_inproc(self):
-        backend, desc = make_backend("inproc:capacity=4")
+        backend = make_backend("inproc:capacity=4")
         assert isinstance(backend, HybridMetaStore)
-        assert desc.startswith("inproc")
+        assert backend.cache_config.capacity_entries == 4
 
     def test_make_backend_unknown(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -128,7 +128,7 @@ class TestBench:
         assert rc == 0
         manifest = json.loads(_read(os.path.join(out, "manifest.json")))
         assert manifest["config"]["chunk_split"] == 2
-        assert manifest["backend"].startswith("inproc:")
+        assert manifest["backend"] == "inproc:policy=lru_pin,capacity=64,pin=16"
 
     def test_bench_remote_loopback_matches_inproc(self, trace_file, tmp_path):
         from kvcmeta.service import serve
@@ -292,6 +292,13 @@ class TestServeCmd:
                 proc.kill()
             proc.communicate()  # reaps the child and closes both pipes
 
+    @pytest.mark.parametrize("interval", ["0", "-1", "nan", "1e300"])
+    def test_stats_interval_must_be_a_positive_wait(self, interval, capsys):
+        with pytest.raises(SystemExit) as exc:  # parse only: serve would not return
+            build_parser().parse_args(["serve", "--stats-interval", interval])
+        assert exc.value.code == 2
+        assert "--stats-interval: must be positive" in capsys.readouterr().err
+
 
 class TestSvgRendering:
     def test_line_chart_is_deterministic(self):
@@ -325,6 +332,13 @@ class TestBenchFailurePaths:
     def test_timeout_zero_is_rejected_before_any_op(self, trace_file, tmp_path, capsys):
         rc = main(["bench", trace_file, "--out", str(tmp_path / "x"),
                    "--backend", "remote:127.0.0.1:1", "--timeout", "0"])
+        assert rc == 1
+        assert "error: timeout must be positive" in capsys.readouterr().err
+
+    def test_timeout_beyond_a_socket_timeout_is_an_error_line(self, trace_file, tmp_path,
+                                                               capsys):
+        rc = main(["bench", trace_file, "--out", str(tmp_path / "x"),
+                   "--backend", "remote:127.0.0.1:1", "--timeout", "1e300"])
         assert rc == 1
         assert "error: timeout must be positive" in capsys.readouterr().err
 

@@ -274,18 +274,11 @@ def test_request_round_trip_property(req):
 @given(_responses)
 @settings(max_examples=300, deadline=None)
 def test_response_round_trip_property(resp):
-    opcode = {
-        wire.PutResponse: wire.OP_PUT,
-        wire.GetResponse: wire.OP_GET,
-        wire.ScanResponse: wire.OP_SCAN,
-        wire.DeleteResponse: wire.OP_DELETE,
-        wire.StatsResponse: wire.OP_STATS,
-    }[type(resp)]
     payload = wire.encode_response(resp)
-    assert wire.decode_response(opcode, payload) == resp
+    assert wire.decode_response(resp[0], payload) == resp
 
 
-def random_request(rng: random.Random) -> wire.Request:
+def random_request(rng: random.Random) -> tuple:
     kind = rng.randrange(5)
     key = rng.randbytes(32)
     if kind == 0:
@@ -299,7 +292,7 @@ def random_request(rng: random.Random) -> wire.Request:
     return wire.StatsRequest()
 
 
-def random_response(rng: random.Random) -> tuple[int, wire.Response]:
+def random_response(rng: random.Random) -> tuple[int, tuple]:
     kind = rng.randrange(6)
     if kind == 0:
         old = rng.getrandbits(64) if rng.random() < 0.5 else None
@@ -369,7 +362,7 @@ def test_not_found_is_get_only():
         (wire.OP_STATS, bytes(64), wire.StatsResponse(wire.ST_NOT_FOUND, IndexStats())),
     ]
     for opcode, body, resp in cases:
-        assert type(wire.decode_response(opcode, b"\x00" + body)) is type(resp)
+        assert wire.decode_response(opcode, b"\x00" + body)[0] == resp[0]
         with pytest.raises(wire.ProtocolError):
             wire.decode_response(opcode, bytes([wire.ST_NOT_FOUND]) + body)
         with pytest.raises(wire.ProtocolError):

@@ -148,6 +148,28 @@ def test_malformed_payload_bad_request_and_connection_survives(server):
         assert payload[0] == wire.ST_OK
 
 
+def test_scan_with_empty_range_bad_request_and_connection_survives(server):
+    handle, _ = server
+    key = encode_key(NS, 5)
+    with socket.create_connection(handle.address, timeout=2.0) as sock:
+        reader = wire.FrameReader(sock, bytearray())
+        for end in (key, encode_key(NS, 4)):  # start == end, start > end
+            sock.sendall(wire.encode_request(wire.ScanRequest(key, end, 10)))
+            assert wire.read_frame(reader) == (wire.OP_SCAN, bytes([wire.ST_BAD_REQUEST]))
+        sock.sendall(wire.encode_request(wire.GetRequest(key)))
+        assert wire.read_frame(reader) == (wire.OP_GET, bytes([wire.ST_NOT_FOUND]))
+
+
+def test_store_error_is_internal_and_the_client_keeps_its_connection(connection_count):
+    store = HybridMetaStore(max_entries=1)
+    with serve(("127.0.0.1", 0), store) as handle, connect(handle.address) as remote:
+        remote.put(encode_key(NS, 1), 1)
+        with pytest.raises(TransportError, match="^server reported an internal error$"):
+            remote.put(encode_key(NS, 2), 2)  # StoreCapacityError on the server
+        assert wire._open_connections == connection_count + 2  # not dropped
+        assert remote.get(encode_key(NS, 1)) == 1
+
+
 def test_oversized_frame_bad_request_then_dropped(server, connection_count):
     handle, _ = server
     with socket.create_connection(handle.address, timeout=2.0) as sock:
@@ -442,7 +464,7 @@ def test_call_after_close_reconnects_on_every_thread(server):
     backend.close()
 
 
-@pytest.mark.parametrize("timeout", [0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("timeout", [0, -1.0, math.inf, math.nan, 1e300])
 def test_timeout_must_be_positive_and_finite(timeout):
     with pytest.raises(ValueError, match="timeout"):
         RemoteBackend("127.0.0.1", 1, timeout=timeout)
@@ -498,4 +520,4 @@ def test_per_connection_response_order(server):
             opcode, payload = wire.read_frame(reader)
             assert opcode == wire.OP_PUT
             resp = wire.decode_response(opcode, payload)
-            assert resp.old_value is None  # fresh inserts, ordered
+            assert resp == wire.PutResponse(wire.ST_OK)  # fresh inserts, ordered
