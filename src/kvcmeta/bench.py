@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 
@@ -181,14 +182,13 @@ def compile_ops(
     return OpStream(ops, preload, mode)
 
 
-def _execute(op: MetadataOp, backend) -> str:
-    if op.kind == POINT_GET:
-        return OUTCOME_OK if backend.get(op.key) is not None else OUTCOME_MISS
-    if op.kind == RANGE_SCAN:
-        rows = backend.scan(op.start, op.end_exclusive, max_results=op.span)
-        return OUTCOME_OK if len(rows) == op.span else OUTCOME_MISS
-    backend.put(op.key, op.value)
-    return OUTCOME_OK
+def _method(backend, name: str):
+    """``backend.<name>``, bound once; if the backend lacks it, a stand-in
+    whose every call raises the AttributeError that the lookup raises."""
+    try:
+        return getattr(backend, name)
+    except AttributeError:
+        return lambda *args, **kwargs: getattr(backend, name)(*args, **kwargs)
 
 
 def replay(
@@ -203,14 +203,21 @@ def replay(
 
     The preload set is installed before timing starts. Schedule ``faithful``
     dispatches each op no earlier than issue_ms * time_scale after replay
-    start (late dispatch is recorded as scheduling lag); ``closed_loop``
-    ignores issue times. ``workers`` threads pull ops from one shared
-    cursor. Against an in-process backend, which never releases the GIL,
-    ``workers > 1`` still runs one op at a time: a worker runs hundreds of
-    ops before the next gets a turn, so its latencies include thread
-    hand-offs, not contention. Per-op failures are recorded as error
-    outcomes; once errors exceed abort_error_rate * total ops, the replay
-    aborts with ReplayAborted.
+    start; ``closed_loop`` ignores issue times. Under ``faithful``, an op's
+    lateness is read after any sleep before it, so time overslept counts,
+    and the largest is reported as scheduling lag.
+
+    ``workers`` threads iterate one shared iterator over the ops with no
+    lock: under the GIL a list iterator's ``next`` is atomic, so every op
+    runs exactly once. A lock guards only the error count. Against an
+    in-process backend, which never releases the GIL, ``workers > 1`` still
+    runs one op at a time: a worker runs hundreds of ops before the next
+    gets a turn, so its latencies include thread hand-offs, not contention.
+    Per-op failures, a call of a method the backend lacks included, are
+    recorded as error outcomes. Once errors exceed abort_error_rate * total
+    ops, the worker that counts the excess drains the shared iterator, so
+    every worker stops at its next op, and the replay raises ReplayAborted
+    with the partial log.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -225,41 +232,48 @@ def replay(
     ops = iter(opstream.ops)
     total = len(opstream.ops)
     error_budget = max(1, math.ceil(abort_error_rate * total)) if total else 0
-    lock = threading.Lock()  # guards ops and log.errors
+    lock = threading.Lock()  # guards log.errors
     log = LatencyLog()
     buffers: list[list[LatencyRecord]] = [[] for _ in range(workers)]
     max_lag = [0] * workers
+    faithful = schedule == "faithful"
+    get, scan, put = (_method(backend, name) for name in ("get", "scan", "put"))
 
     start_ns = time.perf_counter_ns()
 
     def run_worker(wid: int) -> None:
-        clock = time.perf_counter_ns  # a local: read twice per op
+        clock, sleep = time.perf_counter_ns, time.sleep
         append = buffers[wid].append
-        while True:
-            with lock:
-                if log.errors > error_budget:
-                    return
-                op = next(ops, None)
-            if op is None:
-                return
-            if schedule == "faithful":
+        for op in ops:
+            kind = op.kind
+            if faithful:
                 target_ns = start_ns + int(op.issue_ms * time_scale * 1e6)
                 now = clock()
                 if now < target_ns:
-                    time.sleep((target_ns - now) / 1e9)
-                elif now - target_ns > max_lag[wid]:
+                    sleep((target_ns - now) / 1e9)
+                    now = clock()
+                if now - target_ns > max_lag[wid]:
                     max_lag[wid] = now - target_ns
             t0 = clock()
             try:
-                outcome = _execute(op, backend)
+                if kind == POINT_GET:
+                    outcome = OUTCOME_OK if get(op.key) is not None else OUTCOME_MISS
+                elif kind == RANGE_SCAN:
+                    rows = scan(op.start, op.end_exclusive, max_results=op.span)
+                    outcome = OUTCOME_OK if len(rows) == op.span else OUTCOME_MISS
+                else:
+                    put(op.key, op.value)
+                    outcome = OUTCOME_OK
             except Exception as exc:
                 t1 = clock()
                 outcome = f"error:{type(exc).__name__}"
                 with lock:
                     log.errors += 1
+                    if log.errors > error_budget:
+                        deque(ops, maxlen=0)  # one C call: no worker takes an op meanwhile
             else:
                 t1 = clock()
-            append(LatencyRecord(op.kind, op.issue_ms, max(1, t1 - t0), outcome))
+            append(LatencyRecord(kind, op.issue_ms, t1 - t0 or 1, outcome))
 
     if workers == 1:
         run_worker(0)

@@ -133,8 +133,11 @@ class StoreServer(socketserver.ThreadingTCPServer):
         """Stop accepting, then shut reading down on every open connection:
         idle ones see EOF and busy ones send their reply. After ``DRAIN_S``,
         shut writing down too, which ends a connection thread blocked on a
-        peer that does not read."""
-        self.shutdown()  # no new connections after this returns
+        peer that does not read. A server never started only closes its
+        socket."""
+        started = self._acceptor.is_alive()
+        if started:
+            self.shutdown()  # no new connections after this returns
         with self._open_changed:
             for how in (socket.SHUT_RD, socket.SHUT_RDWR):
                 for sock in self._open:
@@ -144,7 +147,8 @@ class StoreServer(socketserver.ThreadingTCPServer):
                         pass
                 self._open_changed.wait_for(lambda: not self._open, self.DRAIN_S)
         self.server_close()  # joins the connection threads
-        self._acceptor.join(timeout=10.0)
+        if started:
+            self._acceptor.join(timeout=10.0)
 
     def __exit__(self, *exc) -> None:
         self.stop()

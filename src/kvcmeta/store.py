@@ -198,8 +198,10 @@ class _PinTier:
       only grow, so a stale tuple is a lower bound.
 
     The victim is the lesser of the current FIFO head and the current heap
-    top, so an entry evicted after one access, the common case under a
-    working set larger than the tier, leaves in O(1).
+    top. A FIFO head whose score is below heap[0]'s, itself a lower bound
+    of every heap entry, leaves without a visit to the heap; so an entry
+    evicted after one access, the common case under a working set larger
+    than the tier, leaves in O(1).
     """
 
     def __init__(self, config: CacheConfig, clock):
@@ -306,22 +308,25 @@ class _PinTier:
                 fkeys.popleft()
                 if flast is not None and fkey not in pinned:
                     heappush(heap, (scores[fkey], flast, fkey))
-            while heap:
-                _, hseq, hkey = heap[0]
-                hlast = last.get(hkey)
-                if hlast == hseq:
-                    break
-                if hlast is None or hkey in pinned:
-                    heappop(heap)
-                else:
-                    heapreplace(heap, (scores[hkey], hlast, hkey))
-            if fseqs and not (heap and heap[0] < (scores[fkey], fseq, fkey)):
-                fseqs.popleft()
-                fkeys.popleft()
-                victim = fkey
-            else:
-                victim = heappop(heap)[2]
-            del scores[victim], last[victim]
+            # Heap tuples are lower bounds, so a current FIFO head lighter
+            # than heap[0] is the victim without a visit to the heap.
+            if not fseqs or (heap and heap[0][0] <= scores[fkey]):
+                while heap:
+                    _, hseq, hkey = heap[0]
+                    hlast = last.get(hkey)
+                    if hlast == hseq:
+                        break
+                    if hlast is None or hkey in pinned:
+                        heappop(heap)
+                    else:
+                        heapreplace(heap, (scores[hkey], hlast, hkey))
+                if not fseqs or (heap and heap[0] < (scores[fkey], fseq, fkey)):
+                    victim = heappop(heap)[2]
+                    del scores[victim], last[victim]
+                    return False
+            fseqs.popleft()
+            fkeys.popleft()
+            del scores[fkey], last[fkey]
         return False
 
     def evict(self, key: bytes) -> None:

@@ -334,6 +334,18 @@ def test_stop_with_an_idle_connection_is_prompt():
         assert wire.read_frame(reader) is None
 
 
+def test_stop_of_a_server_never_started_returns():
+    def stop_unstarted():
+        StoreServer(("127.0.0.1", 0), HybridMetaStore()).stop()
+        with StoreServer(("127.0.0.1", 0), HybridMetaStore()):
+            pass
+
+    stopper = threading.Thread(target=stop_unstarted, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5.0)
+    assert not stopper.is_alive(), "stop() of a server never started did not return"
+
+
 def test_served_lru_pin_store_outlives_a_thousand_half_lives():
     cache = CacheConfig(capacity_entries=4, policy="lru_pin", pin_first_n=1, hotness_halflife_s=1.0)
     now = [0.0]

@@ -628,6 +628,77 @@ def test_lru_pin_matches_reference_hot_tier_when_the_clock_steps_back(ops, pin):
     _replay_against_model(ops, 16, pin, 1.0)
 
 
+def _steps_against_model(steps, halflife=1.0):
+    """Run (half-lives since start, op, id) steps on a capacity-2 ``lru_pin``
+    store with no pins and on ``ModelHotTier``; compare after every op."""
+    clock = _FakeClock()
+    store = HybridMetaStore(cache=CacheConfig(2, "lru_pin", 0, hotness_halflife_s=halflife),
+                            clock=clock)
+    model = ModelHotTier(2, 0, halflife, clock)
+    for t, op, bid in steps:
+        clock.now = t * halflife
+        key = encode_key(NS, bid)
+        if op == "put":
+            store.put(key, bid)
+        else:
+            store.get(key)
+        getattr(model, op)(key)
+        stats = store.stats()
+        assert (stats.cache_hits, stats.cache_misses, stats.cache_entries) == (
+            model.hits, model.misses, len(model.entries)
+        ), (t, op, bid)
+    return store
+
+
+# Ids: A = 1, B = 2, ... With a half-life of 1 s an access at t weighs 2^t,
+# and a score is the log of its entry's sum of weights. A is read twice at
+# t = 0 (score ln 2), so its FIFO item is stale when it reaches the head
+# and is re-filed in the heap at ln 2.
+_A_IN_THE_HEAP = [
+    (0, "put", 1), (0, "get", 1), (0, "put", 2),
+    (0, "put", 3),  # A goes to the heap at ln 2; head B (ln 1) is lighter: B leaves
+]
+
+
+def test_lru_pin_evicts_a_fifo_head_lighter_than_the_heap_top():
+    store = _steps_against_model(_A_IN_THE_HEAP + [
+        (0, "get", 1), (0, "get", 2), (0, "get", 3),
+    ])
+    assert encode_key(NS, 1) in {key for _, _, key in store._cache._heap}
+
+
+def test_lru_pin_breaks_a_score_tie_with_the_heap_top_by_recency():
+    _steps_against_model(_A_IN_THE_HEAP + [
+        (1, "put", 4),  # head C (ln 1) is lighter than A (ln 2): C leaves
+        (1, "put", 5),  # head D weighs ln 2 as A does, but A is less recent: A leaves
+        (1, "get", 1), (1, "get", 4), (1, "get", 5),
+    ])
+
+
+def test_lru_pin_refreshes_a_stale_heap_top_below_the_fifo_head():
+    _steps_against_model(_A_IN_THE_HEAP + [
+        (3, "put", 4),  # head C (ln 1) is lighter than A (ln 2): C leaves
+        (4, "get", 1),  # A's score is now ln 18; its heap tuple stays at ln 2
+        (4, "put", 5),  # A's stale tuple is below head D (ln 8), A's score is
+                        # above it: the heap top is refreshed, and D leaves
+        (4, "get", 1),  # A stayed (score ln 34)
+        (6, "get", 5),  # E (ln 80) is re-filed at the next eviction
+        (6, "put", 6),  # head F (ln 64) is above A's score: A leaves
+        (6, "get", 1), (6, "get", 4), (6, "get", 5), (6, "get", 6),
+    ])
+
+
+def test_lru_pin_resolves_an_exact_tie_by_the_rounding_of_the_model():
+    # A, read twice at t, and B, read once at t + 1 half-life, have equal
+    # scores in exact arithmetic, so rounding picks the victim. At a 600 s
+    # half-life, (t - t0) * (ln2 / halflife) rounds differently from
+    # ln2 * (t - t0) / halflife for this t, and the victim would change.
+    _steps_against_model([
+        (1.25, "put", 1), (1.25, "get", 1), (2.25, "put", 2), (2.25, "put", 3),
+        (2.25, "get", 1), (2.25, "get", 2),
+    ], halflife=600.0)
+
+
 def test_lru_pin_bookkeeping_stays_bounded_under_put_delete_churn():
     # At most 9 keys live in a tier of 64, so no eviction ever pops a queue;
     # only deletion can drop the items that deleted keys leave behind.
@@ -678,7 +749,8 @@ def test_concurrent_readers_and_writers_with_per_op_atomicity():
     for th in threads:
         th.start()
     for th in threads:
-        th.join()
+        th.join(timeout=60)
+        assert not th.is_alive(), "a worker did not finish within 60 s"
     assert not failures
     stats = store.stats()
     assert stats.puts + stats.gets + stats.scans + stats.deletes == n_workers * (n_ops + 1)
