@@ -19,8 +19,12 @@ stretch by k and the metadata op volume grows accordingly.
 
 Replay measures latency around the backend call only; scheduling lag of the
 faithful (timestamp-driven) schedule is tracked separately, never folded
-into latencies. Percentiles are nearest-rank (sort ascending, take the
-element at 1-based index ceil(q*n)).
+into latencies. A replay's ``LatencyLog`` keeps one row per op in four
+columns: op kind and outcome as shared strings, issue time and latency in
+``array('q')``. It builds no object per op, so a long replay leaves nothing
+for the cyclic garbage collector to trace; ``LatencyLog.records`` is a view
+that builds each ``LatencyRecord`` only when it is read. Percentiles are
+nearest-rank (sort ascending, take the element at 1-based index ceil(q*n)).
 """
 
 from __future__ import annotations
@@ -28,9 +32,11 @@ from __future__ import annotations
 import math
 import threading
 import time
+from array import array
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import chain, groupby, starmap
 
 from .analysis import run_bounds
 from .store import key_encoder
@@ -98,13 +104,69 @@ class LatencyRecord:
     outcome: str  # "ok" | "miss" | "error:<ExceptionName>"
 
 
-@dataclass
 class LatencyLog:
-    """Per-op latency records plus replay-level scheduling-lag summary."""
+    """Per-op rows in columns, plus the replay's scheduling-lag summary and
+    error count.
 
-    records: list[LatencyRecord] = field(default_factory=list)
-    max_sched_lag_ns: int = 0
-    errors: int = 0
+    Row i is ``(op_kinds[i], issue_ms[i], latency_ns[i], outcomes[i])``.
+    ``op_kinds`` holds the module's op-kind constants and ``outcomes`` its
+    outcome constants or ``"error:<ExceptionName>"``; ``issue_ms`` and
+    ``latency_ns`` are ``array('q')``. ``LatencyLog(records=[...])`` fills
+    the columns from records.
+    """
+
+    __slots__ = ("op_kinds", "issue_ms", "latency_ns", "outcomes", "max_sched_lag_ns", "errors")
+
+    def __init__(self, records: Iterable[LatencyRecord] = (), max_sched_lag_ns: int = 0,
+                 errors: int = 0):
+        records = list(records)
+        self.op_kinds = [r.op_kind for r in records]
+        self.issue_ms = array("q", [r.issue_ms for r in records])
+        self.latency_ns = array("q", [r.latency_ns for r in records])
+        self.outcomes = [r.outcome for r in records]
+        self.max_sched_lag_ns = max_sched_lag_ns
+        self.errors = errors
+
+    @property
+    def records(self) -> "_Records":
+        """The rows as a read-only sequence of ``LatencyRecord``s, each
+        built when it is read. Getting the view costs O(1)."""
+        return _Records(self)
+
+    def rows(self) -> Iterable[tuple[str, int, int, str]]:
+        """(op_kind, issue_ms, latency_ns, outcome) per row, in order."""
+        return zip(self.op_kinds, self.issue_ms, self.latency_ns, self.outcomes)
+
+
+class _Records(Sequence):
+    """``LatencyLog.records``: the log's rows as ``LatencyRecord``s, built on
+    access. Compares equal to any sequence of equal records."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: LatencyLog):
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log.latency_ns)
+
+    def __getitem__(self, i):
+        log = self._log
+        cols = (log.op_kinds[i], log.issue_ms[i], log.latency_ns[i], log.outcomes[i])
+        return list(map(LatencyRecord, *cols)) if isinstance(i, slice) else LatencyRecord(*cols)
+
+    def __iter__(self):
+        return starmap(LatencyRecord, self._log.rows())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def compile_ops(
@@ -125,6 +187,10 @@ def compile_ops(
         raise ValueError(f"unknown mode {mode!r}")
     if key_scheme not in KEY_SCHEMES:
         raise ValueError(f"unknown key_scheme {key_scheme!r}")
+    # Issue times go into a replay log's array('q') column.
+    if trace.requests and not (-(1 << 63) <= trace.requests[0].arrival_ms
+                               and trace.requests[-1].arrival_ms < 1 << 63):
+        raise ValueError("arrival times must fit in a signed 64-bit integer")
 
     scans_enabled = key_scheme == "ordered"
     make_key = key_encoder(namespace, hashed=not scans_enabled)
@@ -207,9 +273,15 @@ def replay(
     lateness is read after any sleep before it, so time overslept counts,
     and the largest is reported as scheduling lag.
 
+    The log holds one row per completed op in columns (see ``LatencyLog``)
+    and no object per op; its ``records`` view builds ``LatencyRecord``s
+    only when read.
+
     ``workers`` threads iterate one shared iterator over the ops with no
     lock: under the GIL a list iterator's ``next`` is atomic, so every op
-    runs exactly once. A lock guards only the error count. Against an
+    runs exactly once. Each worker appends to its own columns, and after the
+    join they are merged in worker order and stably sorted by issue time.
+    A lock guards only the error count. Against an
     in-process backend, which never releases the GIL, ``workers > 1`` still
     runs one op at a time: a worker runs hundreds of ops before the next
     gets a turn, so its latencies include thread hand-offs, not contention.
@@ -234,7 +306,7 @@ def replay(
     error_budget = max(1, math.ceil(abort_error_rate * total)) if total else 0
     lock = threading.Lock()  # guards log.errors
     log = LatencyLog()
-    buffers: list[list[LatencyRecord]] = [[] for _ in range(workers)]
+    parts = [log] if workers == 1 else [LatencyLog() for _ in range(workers)]
     max_lag = [0] * workers
     faithful = schedule == "faithful"
     get, scan, put = (_method(backend, name) for name in ("get", "scan", "put"))
@@ -243,7 +315,9 @@ def replay(
 
     def run_worker(wid: int) -> None:
         clock, sleep = time.perf_counter_ns, time.sleep
-        append = buffers[wid].append
+        part = parts[wid]
+        add_issue, add_latency = part.issue_ms.append, part.latency_ns.append
+        add_kind, add_outcome = part.op_kinds.append, part.outcomes.append
         for op in ops:
             kind = op.kind
             if faithful:
@@ -273,7 +347,10 @@ def replay(
                         deque(ops, maxlen=0)  # one C call: no worker takes an op meanwhile
             else:
                 t1 = clock()
-            append(LatencyRecord(kind, op.issue_ms, t1 - t0 or 1, outcome))
+            add_issue(op.issue_ms)
+            add_latency(t1 - t0 or 1)
+            add_kind(kind)
+            add_outcome(outcome)
 
     if workers == 1:
         run_worker(0)
@@ -284,15 +361,19 @@ def replay(
         for th in threads:
             th.join()
 
-    for buf in buffers:
-        log.records.extend(buf)
     if workers > 1:
-        log.records.sort(key=lambda r: r.issue_ms)
+        # The order of a stable sort by issue time over the workers' rows
+        # concatenated in worker order.
+        issued = list(chain.from_iterable(part.issue_ms for part in parts))
+        order = sorted(range(len(issued)), key=issued.__getitem__)
+        for name in ("op_kinds", "issue_ms", "latency_ns", "outcomes"):
+            column = list(chain.from_iterable(getattr(part, name) for part in parts))
+            getattr(log, name).extend(map(column.__getitem__, order))
     log.max_sched_lag_ns = max(max_lag)
 
     if log.errors > error_budget:
         raise ReplayAborted(
-            f"error budget exhausted: {log.errors} errors over {len(log.records)} completed ops "
+            f"error budget exhausted: {log.errors} errors over {len(log.latency_ns)} completed ops "
             f"(threshold {abort_error_rate:.2%} of {total})",
             log,
         )
@@ -349,14 +430,14 @@ def interval_stats(log: LatencyLog, interval_s: int = 60, warmup_s: int = 600) -
     cutoff_ms = warmup_s * 1000
     samples: dict[tuple[int, str], list[int]] = {}
     stats = IntervalStats(interval_s, warmup_s)
-    for rec in log.records:
-        if rec.issue_ms < cutoff_ms:
+    for kind, issued, latency, outcome in log.rows():
+        if issued < cutoff_ms:
             continue
-        cell = (rec.issue_ms // span_ms, rec.op_kind)
-        if rec.outcome.startswith("error"):
+        cell = (issued // span_ms, kind)
+        if outcome.startswith("error"):
             stats.error_counts[cell] = stats.error_counts.get(cell, 0) + 1
             continue
-        samples.setdefault(cell, []).append(rec.latency_ns)
+        samples.setdefault(cell, []).append(latency)
     for (idx, kind) in sorted(samples):
         lat = samples[(idx, kind)]
         stats.rows.append(

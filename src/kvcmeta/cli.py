@@ -168,17 +168,17 @@ def cmd_bench(args) -> int:
 
     by_kind: dict[str, list[int]] = {}
     misses = 0
-    for rec in latency_log.records:
-        if rec.outcome.startswith("error"):
+    for kind, _, latency, outcome in latency_log.rows():
+        if outcome.startswith("error"):
             continue
-        if rec.outcome == bench.OUTCOME_MISS:
+        if outcome == bench.OUTCOME_MISS:
             misses += 1
-        by_kind.setdefault(rec.op_kind, []).append(rec.latency_ns)
+        by_kind.setdefault(kind, []).append(latency)
     for kind in sorted(by_kind):
         lat = by_kind[kind]
         print(f"p99 {kind}: {bench.percentile(lat, 0.99)} ns "
               f"(n={len(lat)}, p50={bench.percentile(lat, 0.50)} ns)")
-    print(f"ops={len(latency_log.records)} misses={misses} errors={latency_log.errors} "
+    print(f"ops={len(latency_log.latency_ns)} misses={misses} errors={latency_log.errors} "
           f"max_sched_lag_ms={latency_log.max_sched_lag_ns / 1e6:.3f}")
     return 1 if aborted else 0
 

@@ -65,11 +65,7 @@ def write_reuse_timeline(path: str, timeline: ReuseTimeline) -> None:
 
 
 def write_latency_log(path: str, log: LatencyLog) -> None:
-    _write_rows(
-        path,
-        LATENCY_LOG_HEADER,
-        ((r.op_kind, r.issue_ms, r.latency_ns, r.outcome) for r in log.records),
-    )
+    _write_rows(path, LATENCY_LOG_HEADER, log.rows())
 
 
 def write_interval_stats(path: str, stats: IntervalStats) -> None:

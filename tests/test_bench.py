@@ -11,7 +11,7 @@ from itertools import groupby
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kvcmeta import bench, synth
+from kvcmeta import bench, report, synth
 from kvcmeta.bench import (
     INSERT,
     POINT_GET,
@@ -90,6 +90,13 @@ class TestCompilePreload:
     def test_chunk_id_past_64_bits_is_a_value_error(self):
         with pytest.raises(ValueError, match="chunk id 18446744073709551617"):
             compile_ops(_trace([(0, [2**63])]), chunk_split=2)
+
+    def test_arrival_time_past_64_bits_is_a_value_error(self):
+        # A replay log keeps issue times in an array('q').
+        compile_ops(_trace([(-(2**63), [1]), (2**63 - 1, [2])]))
+        for rows in ([(0, [1]), (2**63, [2])], [(-(2**63) - 1, [1])]):
+            with pytest.raises(ValueError, match="arrival times must fit"):
+                compile_ops(_trace(rows))
 
     def test_fixture_compilation(self, fixture_trace):
         stream = compile_ops(fixture_trace, mode="preload", namespace=NS)
@@ -550,6 +557,42 @@ class TestIntervalStats:
         log = LatencyLog(records=[_rec(POINT_GET, 5_000, 7)])
         stats = interval_stats(log, interval_s=1, warmup_s=0)
         assert stats.rows == [IntervalRow(5, POINT_GET, 1, 7, 7)]
+
+
+def test_latency_log_and_interval_stats_csv_bytes(tmp_path):
+    # One hand-built log: every kind and outcome, warm-up rows, two
+    # intervals, a tie in issue time and latencies past 32 bits.
+    log = LatencyLog(records=[
+        _rec(POINT_GET, 0, 900),
+        _rec(RANGE_SCAN, 1_999, 5_000_000_000, "miss"),
+        _rec(POINT_GET, 2_000, 11),
+        _rec(INSERT, 2_000, 42),
+        _rec(POINT_GET, 2_500, 7, "miss"),
+        _rec(RANGE_SCAN, 3_000, 300),
+        _rec(POINT_GET, 3_999, 1, "error:TimeoutError"),
+        _rec(INSERT, 4_000, 8_589_934_592),
+    ])
+    log_path, stats_path = tmp_path / "latency_log.csv", tmp_path / "interval_stats.csv"
+    report.write_latency_log(str(log_path), log)
+    report.write_interval_stats(str(stats_path), interval_stats(log, interval_s=1, warmup_s=2))
+    assert log_path.read_bytes() == (
+        b"op_kind,issue_ms,latency_ns,outcome\n"
+        b"point_get,0,900,ok\n"
+        b"range_scan,1999,5000000000,miss\n"
+        b"point_get,2000,11,ok\n"
+        b"insert,2000,42,ok\n"
+        b"point_get,2500,7,miss\n"
+        b"range_scan,3000,300,ok\n"
+        b"point_get,3999,1,error:TimeoutError\n"
+        b"insert,4000,8589934592,ok\n"
+    )
+    assert stats_path.read_bytes() == (
+        b"interval_index,op_kind,count,p50_ns,p99_ns\n"
+        b"2,insert,1,42,42\n"
+        b"2,point_get,2,7,11\n"
+        b"3,range_scan,1,300,300\n"
+        b"4,insert,1,8589934592,8589934592\n"
+    )
 
 
 def _stats_from(cells):
