@@ -37,18 +37,17 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, groupby, starmap
+from typing import TYPE_CHECKING
 
-from .analysis import run_bounds
+from . import KEY_SCHEMES, MODES, SCHEDULES
 from .store import key_encoder
-from .trace import Trace
+
+if TYPE_CHECKING:
+    from .trace import Trace
 
 POINT_GET = "point_get"
 RANGE_SCAN = "range_scan"
 INSERT = "insert"
-
-MODES = ("preload", "insert_on_miss")
-KEY_SCHEMES = ("ordered", "hashed")
-SCHEDULES = ("faithful", "closed_loop")
 
 OUTCOME_OK = "ok"
 OUTCOME_MISS = "miss"
@@ -191,6 +190,8 @@ def compile_ops(
     if trace.requests and not (-(1 << 63) <= trace.requests[0].arrival_ms
                                and trace.requests[-1].arrival_ms < 1 << 63):
         raise ValueError("arrival times must fit in a signed 64-bit integer")
+
+    from .analysis import run_bounds
 
     scans_enabled = key_scheme == "ordered"
     make_key = key_encoder(namespace, hashed=not scans_enabled)

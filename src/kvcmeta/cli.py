@@ -16,11 +16,17 @@ import os
 import signal
 import sys
 import threading
+from typing import TYPE_CHECKING
 
-from . import analysis, bench, report, synth
+# Only what ``serve`` needs is imported here; the other commands import
+# their modules when they run, so that a serve process starts lean.
+from . import KEY_SCHEMES, MODES, SCHEDULES
 from .service import RemoteBackend, TransportError, connect, parse_hostport, serve
 from .store import CacheConfig, HybridMetaStore
-from .trace import TraceParseError, load_trace, save_trace
+
+if TYPE_CHECKING:
+    from .bench import IntervalStats
+    from .report import RunManifest
 
 log = logging.getLogger("kvcmeta")
 
@@ -64,7 +70,9 @@ def make_backend(spec: str, timeout: float = 1.0):
 
 
 def _manifest(args, started: str, trace_label: str, digest: str | None,
-              backend: str | None = None, aborted: bool = False) -> report.RunManifest:
+              backend: str | None = None, aborted: bool = False) -> RunManifest:
+    from . import report
+
     config = {k: v for k, v in vars(args).items() if k != "func" and not callable(v)}
     return report.RunManifest(
         command_line=sys.argv,
@@ -79,6 +87,9 @@ def _manifest(args, started: str, trace_label: str, digest: str | None,
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis, bench, report
+    from .trace import load_trace
+
     started = report.utc_now()
     trace = load_trace(args.trace)
     os.makedirs(args.out, exist_ok=True)
@@ -128,6 +139,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench, report
+    from .trace import load_trace
+
     started = report.utc_now()
     trace = load_trace(args.trace)
     stream = bench.compile_ops(
@@ -214,6 +228,9 @@ def cmd_serve(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import report, synth
+    from .trace import save_trace
+
     started = report.utc_now()
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -235,7 +252,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_inputs(items: list[str]) -> list[tuple[str, bench.IntervalStats]]:
+def _load_inputs(items: list[str]) -> list[tuple[str, IntervalStats]]:
+    from . import report
+
     inputs = []
     for item in items:
         label, sep, path = item.partition("=")
@@ -246,6 +265,8 @@ def _load_inputs(items: list[str]) -> list[tuple[str, bench.IntervalStats]]:
 
 
 def cmd_report(args) -> int:
+    from . import bench, report
+
     started = report.utc_now()
     inputs = _load_inputs(args.inputs)
     labels = [label for label, _ in inputs]
@@ -346,15 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--backend", default="inproc",
                    help="inproc[:cache-config] | remote:host:port | external:host:port")
-    p.add_argument("--mode", choices=bench.MODES, default="preload")
-    p.add_argument("--schedule", choices=bench.SCHEDULES, default="closed_loop")
+    p.add_argument("--mode", choices=MODES, default="preload")
+    p.add_argument("--schedule", choices=SCHEDULES, default="closed_loop")
     p.add_argument("--time-scale", type=float, default=1.0,
                    help="faithful schedule time multiplier (0.01 = 100x faster)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--interval", type=int, default=60, help="stats interval seconds")
     p.add_argument("--warmup", type=int, default=600, help="warm-up exclusion seconds")
     p.add_argument("--chunk-split", type=int, default=1)
-    p.add_argument("--key-scheme", choices=bench.KEY_SCHEMES, default="ordered")
+    p.add_argument("--key-scheme", choices=KEY_SCHEMES, default="ordered")
     p.add_argument("--namespace", default="")
     p.add_argument("--abort-error-rate", type=float, default=0.01)
     p.add_argument("--timeout", type=float, default=1.0,
@@ -391,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TraceParseError, TransportError, ValueError, OSError) as exc:
+    except (TransportError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

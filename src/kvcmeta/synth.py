@@ -131,7 +131,7 @@ def generate(config: SynthConfig) -> Trace:
     for i in range(config.num_requests):
         ids: list[int] = []
         node = root
-        target_depth = rng.randint(1, shape.depth)
+        target_depth = 1 + _below(rng, shape.depth)
         for _ in range(target_depth):
             reuse_weight = config.reuse_bias * node.child_visits
             can_branch = len(node.children) < shape.branching
@@ -150,14 +150,15 @@ def generate(config: SynthConfig) -> Trace:
             node.visits += 1
             ids.extend(range(node.first_id, node.first_id + node.length))
 
-        suffix_len = rng.randint(config.suffix_blocks.min, config.suffix_blocks.max)
+        suffix = config.suffix_blocks
+        suffix_len = suffix.min + _below(rng, suffix.max - suffix.min + 1)
         if suffix_len:
             ids.extend(range(next_id, next_id + suffix_len))
             retired.extend(range(next_id, next_id + suffix_len))
             next_id += suffix_len
 
         if retired and rng.random() < config.random_block_rate:
-            for _ in range(rng.randint(1, MAX_INJECT_PER_REQUEST)):
+            for _ in range(1 + _below(rng, MAX_INJECT_PER_REQUEST)):
                 bid = _draw_isolated(rng, retired, ids)
                 if bid is not None:
                     ids.append(bid)
@@ -168,7 +169,7 @@ def generate(config: SynthConfig) -> Trace:
             TraceRequest(
                 arrival_ms=int(round(arrival)),
                 input_len=len(ids) * config.block_tokens,
-                output_len=rng.randint(1, 256),
+                output_len=1 + _below(rng, 256),
                 block_ids=tuple(ids),
             )
         )
@@ -188,11 +189,24 @@ def _weighted_child(rng: random.Random, children: list[_Node], total: int) -> _N
     return children[-1]
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n), n >= 1, drawn exactly as CPython 3.11's
+    ``rng.randrange(n)`` draws it (``Random._randbelow_with_getrandbits``);
+    ``rng.randint(a, b)`` is ``a + _below(rng, b - a + 1)``. Going straight
+    to ``getrandbits`` skips the argument checks that dominate those calls,
+    and keeps every trace byte-identical."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _draw_isolated(rng: random.Random, retired: list[int], ids: list[int]) -> int | None:
     # An injected id must not extend the run it lands next to, nor duplicate
     # its neighbor; appended at the end, only the left neighbor matters.
     for _ in range(_ISOLATION_RETRIES):
-        bid = retired[rng.randrange(len(retired))]
+        bid = retired[_below(rng, len(retired))]
         if not ids or (bid != ids[-1] + 1 and bid != ids[-1]):
             return bid
     return None

@@ -19,6 +19,7 @@ from kvcmeta.trace import save_trace
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 @pytest.fixture
@@ -298,6 +299,48 @@ class TestServeCmd:
             build_parser().parse_args(["serve", "--stats-interval", interval])
         assert exc.value.code == 2
         assert "--stats-interval: must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--mode", "--schedule", "--key-scheme"])
+def test_bench_rejects_an_unknown_choice(option, trace_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", trace_file, "--out", str(tmp_path / "o"), option, "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kvcmeta bench ")
+    assert f"argument {option}: invalid choice: 'bogus'" in err
+
+
+def test_serve_imports_only_what_it_serves():
+    """A serve process (perfbench/server.py imports ``cli`` and ``protocol``
+    and builds the parser) loads no analysis, benchmark, synthesis, report or
+    trace code; the package's public names still all resolve on first use."""
+    script = """if True:
+        import json, sys
+        from kvcmeta import cli, protocol
+        cli.build_parser()
+        print(json.dumps([m for m in sys.modules if m.startswith("kvcmeta.")]))
+        import kvcmeta
+        for name in kvcmeta.__all__:
+            getattr(kvcmeta, name)
+        try:
+            kvcmeta.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise SystemExit("an unknown name resolved")
+        star = {}
+        exec("from kvcmeta import *", star)
+        missing = set(kvcmeta.__all__) - set(star)
+        if missing:
+            raise SystemExit(f"import * missed {sorted(missing)}")
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, check=False, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert sorted(loaded) == ["kvcmeta.cli", "kvcmeta.protocol", "kvcmeta.service",
+                              "kvcmeta.store"]
 
 
 class TestSvgRendering:

@@ -10,6 +10,8 @@ import dataclasses
 import importlib
 import json
 import random
+import re
+import signal
 import subprocess
 import sys
 import threading
@@ -21,7 +23,7 @@ import pytest
 
 import kvcmeta
 from kvcmeta import bench, protocol as wire
-from kvcmeta.service import connect, serve
+from kvcmeta.service import RemoteBackend, connect, serve
 from kvcmeta.store import HybridMetaStore, encode_key
 from kvcmeta.trace import Trace, TraceRequest
 
@@ -110,6 +112,35 @@ def test_phase_absorbs_replay_records(perfbench):
         assert (phase.attempted, phase.failed) == (len(recs), failed)
         assert phase.replays[0].latency_ns == array("q", (r.latency_ns for r in recs))
         assert all(ns > 0 for ns in phase.replays[0].latency_ns)
+
+
+def test_traced_server_records_store_and_codec_spans(perfbench, tmp_path):
+    """server.py --spans swaps ``cli.HybridMetaStore`` for a traced store and
+    wraps the server's ``protocol`` calls; the dump it writes on SIGTERM
+    holds spans of both, so traced runs keep their server-side layers."""
+    spans = tmp_path / "server.spans"
+    proc = subprocess.Popen([sys.executable, str(PERFBENCH / "server.py"), "--cache", "",
+                             "--spans", str(spans)], stdin=subprocess.DEVNULL,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        port = next((int(m.group(1)) for line in proc.stderr
+                     if (m := re.search(r"serving on [\d.]+:(\d+)", line))), None)
+        assert port is not None, "server.py exited before listening"
+        key = encode_key(b"pb", 1)
+        with RemoteBackend("127.0.0.1", port, timeout=10.0) as remote:
+            remote.put(key, 1)
+            assert remote.get(key) == 1
+        proc.send_signal(signal.SIGTERM)
+        proc.communicate(timeout=30)
+        assert proc.returncode == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    tracer = perfbench("tracer").Tracer.load(str(spans))
+    counts = {name: n for name, (n, _) in tracer.self_times().items()}
+    for name in ("store.put", "store.get", "protocol.decode_request"):
+        assert counts.get(name, 0) >= 1, f"no {name} span in {counts}"
 
 
 @pytest.mark.parametrize("workload", ["remote-mixed", pytest.param("read-pinned", marks=pytest.mark.slow)])
