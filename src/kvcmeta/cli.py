@@ -13,7 +13,9 @@ import argparse
 import json
 import logging
 import os
+import select
 import signal
+import socket
 import sys
 import threading
 from typing import TYPE_CHECKING
@@ -210,19 +212,22 @@ def cmd_serve(args) -> int:
         return 1
     log.info("serving on %s:%d", *handle.address)
 
-    stop = threading.Event()
-
-    def _on_signal(signum, frame):
-        log.info("signal %d: draining", signum)
-        stop.set()
-
-    signal.signal(signal.SIGINT, _on_signal)
-    signal.signal(signal.SIGTERM, _on_signal)
-    try:
-        while not stop.wait(timeout=args.stats_interval):
-            log.info("stats %s", store.stats())
-    finally:
-        handle.stop()
+    # The C-level handler writes the signal number to ``notify`` from
+    # whichever thread receives the signal, and the Python handlers do
+    # nothing, so no handler takes a lock that the main thread may hold.
+    wake, notify = socket.socketpair()
+    with wake, notify:
+        notify.setblocking(False)
+        prev_fd = signal.set_wakeup_fd(notify.fileno())
+        try:
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                signal.signal(signum, lambda *_: None)
+            while not select.select([wake], [], [], args.stats_interval)[0]:
+                log.info("stats %s", store.stats())
+            log.info("signal %d: draining", wake.recv(1)[0])
+        finally:
+            signal.set_wakeup_fd(prev_fd)
+            handle.stop()
     log.info("drained, bye")
     return 0
 
@@ -339,7 +344,7 @@ def cmd_report(args) -> int:
 
 
 def _interval(text: str) -> float:
-    """A positive wait in seconds that ``threading.Event.wait`` accepts."""
+    """A positive wait in seconds that ``select.select`` accepts."""
     seconds = float(text)
     if not 0 < seconds <= threading.TIMEOUT_MAX:
         raise argparse.ArgumentTypeError(f"must be positive and at most "

@@ -211,19 +211,6 @@ def _frame_end(buf: bytes) -> tuple[int, int]:
     return opcode, _HEADER.size + length
 
 
-def decode_frame(buf: bytes) -> tuple[int, bytes, int]:
-    """Decode one frame from the head of buf: (opcode, payload, bytes consumed).
-
-    Raises ProtocolError if the buffer is short or the length is oversized.
-    """
-    if len(buf) < _HEADER.size:
-        raise ProtocolError("truncated frame header")
-    opcode, end = _frame_end(buf)
-    if len(buf) < end:
-        raise ProtocolError("truncated frame payload")
-    return opcode, buf[_HEADER.size:end], end
-
-
 # Connections ``service`` counts that are open in this process, both ends.
 _open_connections = 0
 _open_lock = threading.Lock()

@@ -28,11 +28,15 @@ tier (hit/miss counters, eviction policy). Policies:
   scores are kept as logarithms, so they need no rescale and there is no
   uptime limit.
 
-The hot tier needs a non-decreasing clock for its speed (the default is
-``time.monotonic``): ``lru_pin`` takes most victims in O(1) from a queue
-of entries accessed once, which is in eviction order only while weights do
-not fall in admission order. A clock that steps back sends admissions to
-the slower heap until it passes its earlier reading; victims stay the same.
+``lru_pin`` keeps one entry per resident key, the tuple (score, last
+access, key), and replaces it on every access. Its two eviction queues, a
+FIFO of admissions and a heap, hold those tuples, so every queued item is
+either its key's current entry or stale. The tier needs a non-decreasing
+clock for its speed (the default is ``time.monotonic``): it takes most
+victims in O(1) from the FIFO, which is in eviction order only while
+weights do not fall in admission order. A clock that steps back sends
+admissions to the slower heap until it passes the FIFO's last weight;
+victims stay the same.
 """
 
 from __future__ import annotations
@@ -181,21 +185,22 @@ class _PinTier:
     sum to a relative |L| 2^-53, so after U half-lives an access more than
     about 53 - log2(U) half-lives older than an entry's newest adds nothing.
 
-    The victim is the unpinned entry with the least (score, last_seq).
-    Each unpinned entry has at least one representative whose (score, seq)
-    is a lower bound of its own, in one of two lazy queues; an item is
-    current iff its seq is still its entry's last_seq, and a stale item is
-    re-filed in the heap at its entry's score when it reaches a head:
+    Each resident key has one entry, the tuple (score, last_seq, key), and
+    the victim is the unpinned key with the least entry. The two lazy queues
+    below hold entries themselves, and an access stores a new tuple, so a
+    queued item is current iff it is its key's entry (``res.get(key) is
+    item``) and stale otherwise. Each unpinned entry has an item in one of
+    the queues, current or stale, that is a lower bound of it; a stale item
+    is re-filed in the heap as its key's entry when it reaches a head:
 
-    * the FIFO, (seq, key) items appended at admission. Under a
-      non-decreasing clock weights do not fall in admission order, so the
-      FIFO is sorted by (weight, seq) and a current item, an entry accessed
-      once, is its own lower bound. An admission lighter than the last item
-      appended (the clock stepped back) goes to the heap instead, so the
-      order holds for any clock.
-    * ``_heap``, (score, seq, key) tuples of entries accessed again, of
-      demoted pins and of admissions while the clock stepped back. Scores
-      only grow, so a stale tuple is a lower bound.
+    * the FIFO, entries queued at admission. Under a non-decreasing clock
+      weights do not fall in admission order, so the FIFO is sorted and a
+      current item, an entry accessed once, is its own lower bound. An
+      admission lighter than the FIFO's last item (the clock stepped back)
+      goes to the heap instead, so the order holds for any clock.
+    * ``_heap``, entries accessed again, demoted pins and admissions while
+      the clock stepped back. Scores only grow, so a stale item is a lower
+      bound.
 
     The victim is the lesser of the current FIFO head and the current heap
     top. A FIFO head whose score is below heap[0]'s, itself a lower bound
@@ -211,21 +216,15 @@ class _PinTier:
         self._clock = clock
         self._t0 = clock()
         self._seq = 0
-        # A resident key's log score and last access seq, and the FIFO's
-        # (seq, key) items, live in parallel containers, so an admission to
-        # the FIFO allocates no list or tuple.
-        self._scores: dict[bytes, float] = {}
-        self._last: dict[bytes, int] = {}
-        self._fifo_seqs: deque[int] = deque()
-        self._fifo_keys: deque[bytes] = deque()
-        self._fifo_weight = -math.inf  # weight of the last item appended to the FIFO
+        self._res: dict[bytes, tuple[float, int, bytes]] = {}  # key -> its entry
+        self._fifo: deque[tuple[float, int, bytes]] = deque()
         self._heap: list[tuple[float, int, bytes]] = []
         self._pin_ids: dict[bytes, list[bytes]] = {}
         self._pin_count = 0  # keys over all pin lists, kept <= capacity
         self._pinned: set[bytes] = set()
 
     def __len__(self) -> int:
-        return len(self._last)
+        return len(self._res)
 
     def _pin(self, key: bytes, pins: list[bytes] | None) -> None:
         """Pin ``key`` if its block id is among the ``pin_first_n`` lowest
@@ -252,10 +251,10 @@ class _PinTier:
             pins.insert(i, key)
             pinned.add(key)
             pinned.discard(displaced)
-            last = self._last.get(displaced)
-            if last is not None:
+            entry = self._res.get(displaced)
+            if entry is not None:
                 # Demoted entry becomes an ordinary eviction candidate.
-                heappush(self._heap, (self._scores[displaced], last, displaced))
+                heappush(self._heap, entry)
 
     def touch(self, key: bytes, write: bool = False) -> bool:
         """Access a key known to exist in the store. True iff it was resident
@@ -263,13 +262,13 @@ class _PinTier:
         put, whose hit or miss the store does not count."""
         weight = _LN2 * (self._clock() - self._t0) / self.halflife
         self._seq = seq = self._seq + 1
-        scores, last = self._scores, self._last
-        if key in last:
-            hi, lo = scores[key], weight
+        res = self._res
+        entry = res.get(key)
+        if entry is not None:
+            hi, lo = entry[0], weight
             if hi < lo:
                 hi, lo = lo, hi
-            scores[key] = hi + log1p(exp(lo - hi))
-            last[key] = seq
+            res[key] = (hi + log1p(exp(lo - hi)), seq, key)
             return True
         if write and self.pin_first_n:
             # Pins are decided when a write admits a key; for a resident key
@@ -286,64 +285,54 @@ class _PinTier:
                 or (len(pins) < self.pin_first_n and self._pin_count < self.capacity)
             ):
                 self._pin(key, pins)
-        scores[key] = weight
-        last[key] = seq
-        fseqs, fkeys, heap, pinned = self._fifo_seqs, self._fifo_keys, self._heap, self._pinned
+        res[key] = entry = (weight, seq, key)
+        fifo, heap, pinned = self._fifo, self._heap, self._pinned
         if key not in pinned:
-            if weight >= self._fifo_weight:
-                fseqs.append(seq)
-                fkeys.append(key)
-                self._fifo_weight = weight
+            if not fifo or weight >= fifo[-1][0]:
+                fifo.append(entry)
             else:
-                heappush(heap, (weight, seq, key))
-        if len(last) > self.capacity:
+                heappush(heap, entry)
+        if len(res) > self.capacity:
             # Pins never exceed capacity, so an unpinned entry exists, and
             # so does a current item for it in one of the two queues.
-            while fseqs:
-                fseq, fkey = fseqs[0], fkeys[0]
-                flast = last.get(fkey)
-                if flast == fseq:
+            while fifo:
+                head = fifo[0]
+                entry = res.get(head[2])
+                if entry is head:
                     break
-                fseqs.popleft()
-                fkeys.popleft()
-                if flast is not None and fkey not in pinned:
-                    heappush(heap, (scores[fkey], flast, fkey))
-            # Heap tuples are lower bounds, so a current FIFO head lighter
+                fifo.popleft()
+                if entry is not None and head[2] not in pinned:
+                    heappush(heap, entry)
+            # Heap items are lower bounds, so a current FIFO head lighter
             # than heap[0] is the victim without a visit to the heap.
-            if not fseqs or (heap and heap[0][0] <= scores[fkey]):
+            if not fifo or (heap and heap[0][0] <= head[0]):
                 while heap:
-                    _, hseq, hkey = heap[0]
-                    hlast = last.get(hkey)
-                    if hlast == hseq:
+                    top = heap[0]
+                    entry = res.get(top[2])
+                    if entry is top:
                         break
-                    if hlast is None or hkey in pinned:
+                    if entry is None or top[2] in pinned:
                         heappop(heap)
                     else:
-                        heapreplace(heap, (scores[hkey], hlast, hkey))
-                if not fseqs or (heap and heap[0] < (scores[fkey], fseq, fkey)):
-                    victim = heappop(heap)[2]
-                    del scores[victim], last[victim]
+                        heapreplace(heap, entry)
+                if not fifo or (heap and heap[0] < head):
+                    del res[heappop(heap)[2]]
                     return False
-            fseqs.popleft()
-            fkeys.popleft()
-            del scores[fkey], last[fkey]
+            del res[fifo.popleft()[2]]
         return False
 
     def evict(self, key: bytes) -> None:
-        if self._last.pop(key, None) is None:
+        if self._res.pop(key, None) is None:
             return
-        del self._scores[key]
         self._pinned.discard(key)
         # Pin-list membership survives deletion: a re-inserted low id
         # re-pins, keeping the initial-prefix band stable within a run.
-        if len(self._heap) + len(self._fifo_seqs) > 2 * len(self._last) + 64:
+        if len(self._heap) + len(self._fifo) > 2 * len(self._res) + 64:
             # Only deletions leave items without an entry; refile the rest.
-            pinned, scores = self._pinned, self._scores
-            self._heap = [(scores[k], s, k) for k, s in self._last.items() if k not in pinned]
+            pinned = self._pinned
+            self._heap = [e for e in self._res.values() if e[2] not in pinned]
             heapify(self._heap)
-            self._fifo_seqs.clear()
-            self._fifo_keys.clear()
-            self._fifo_weight = -math.inf
+            self._fifo.clear()
 
 
 class HybridMetaStore:

@@ -22,7 +22,7 @@ from kvcmeta.service import connect, serve
 from kvcmeta.store import CacheConfig, HybridMetaStore, decode_key, encode_key
 from kvcmeta.trace import load_trace
 from oracle_store import ModelStore
-from test_protocol import random_request, random_response
+from test_protocol import random_request, random_response, read_whole_frame
 
 import kvcmeta.protocol as wire
 
@@ -265,8 +265,7 @@ def test_criterion_6_wire_protocol_transparency():
     rng = random.Random(0xF22A)
     for _ in range(100_000):
         req = random_request(rng)
-        opcode, payload, _ = wire.decode_frame(wire.encode_request(req))
-        assert wire.decode_request(opcode, payload) == req
+        assert wire.decode_request(*read_whole_frame(wire.encode_request(req))) == req
         opcode, resp = random_response(rng)
         assert wire.decode_response(opcode, wire.encode_response(resp)) == resp
 

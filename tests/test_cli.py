@@ -6,6 +6,7 @@ import signal
 import socket
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
@@ -292,6 +293,64 @@ class TestServeCmd:
             if proc.poll() is None:
                 proc.kill()
             proc.communicate()  # reaps the child and closes both pipes
+
+    # Each stop test runs serve in a child that it kills (SIGKILL) if it has
+    # not exited in time: a hung serve may ignore SIGTERM for good.
+    SERVE = 'sys.exit(cli.main(["serve", "--listen", "127.0.0.1:0", "--stats-interval", "%s"]))'
+
+    def _run_serve(self, prelude: str, interval: float, *argv: str) -> str:
+        script = textwrap.dedent(prelude) + self.SERVE % interval
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, timeout=30, check=False,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+        assert "drained, bye" in proc.stderr
+        return proc.stderr
+
+    def test_serve_drains_on_a_signal_inside_its_own_wait(self):
+        # The signal arrives while the main thread is inside its first timed
+        # wait, holding whatever lock that wait holds.
+        prelude = """
+            import os, select, signal, sys, threading
+            from kvcmeta import cli
+            fired = []
+            def signal_on_first_timed_wait(owner, name, timeout_at):
+                real = getattr(owner, name)
+                def wait(*args, **kwargs):
+                    timeout = args[timeout_at] if len(args) > timeout_at else kwargs.get("timeout")
+                    if (timeout is not None and not fired
+                            and threading.current_thread() is threading.main_thread()):
+                        fired.append(True)
+                        os.kill(os.getpid(), signal.SIGTERM)
+                    return real(*args, **kwargs)
+                setattr(owner, name, wait)
+            signal_on_first_timed_wait(threading.Condition, "wait", 1)
+            signal_on_first_timed_wait(select, "select", 3)
+        """
+        assert "signal 15: draining" in self._run_serve(prelude, 3600)
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+    def test_serve_drains_on_a_signal_to_another_thread(self, signum):
+        # A thread started before serve (as perfbench/server.py starts its
+        # stdin thread) signals the process while the main thread is in a
+        # slow stats call, away from its wait.
+        prelude = """
+            import os, sys, threading, time
+            from kvcmeta import cli
+            from kvcmeta.store import HybridMetaStore
+            in_stats = threading.Event()
+            real_stats = HybridMetaStore.stats
+            def slow_stats(self):
+                in_stats.set()
+                time.sleep(1.0)
+                return real_stats(self)
+            HybridMetaStore.stats = slow_stats
+            def signal_during_stats():
+                in_stats.wait()
+                os.kill(os.getpid(), int(sys.argv[1]))
+            threading.Thread(target=signal_during_stats, daemon=True).start()
+        """
+        assert f"signal {int(signum)}: draining" in self._run_serve(prelude, 0.01, str(int(signum)))
 
     @pytest.mark.parametrize("interval", ["0", "-1", "nan", "1e300"])
     def test_stats_interval_must_be_a_positive_wait(self, interval, capsys):

@@ -14,23 +14,42 @@ KEY = bytes(range(32))
 KEY2 = bytes(range(1, 33))
 
 
+def read_whole_frame(frame: bytes) -> tuple[int, bytes]:
+    """(opcode, payload) of one whole frame, read by ``read_frame`` from a
+    reader that holds it already and so never touches its socket."""
+    reader = wire.FrameReader(None, bytearray(frame))
+    opcode, payload = wire.read_frame(reader)
+    assert not reader.buf
+    return opcode, payload
+
+
+def _read_cut_off(data: bytes) -> None:
+    """``read_frame`` on a connection whose peer sends data and closes."""
+    sock, writer = socket.socketpair()
+    with sock:
+        with writer:
+            writer.sendall(data)
+        wire.read_frame(wire.FrameReader(sock, bytearray()))
+
+
 class TestFraming:
     def test_frame_layout(self):
         frame = wire.encode_frame(wire.OP_GET, b"abc")
         assert frame == b"\x00\x00\x00\x03" + bytes([wire.OP_GET]) + b"abc"
 
-    def test_decode_frame_round_trip(self):
+    def test_read_frame_round_trip(self):
         frame = wire.encode_frame(7, b"payload")
-        opcode, payload, used = wire.decode_frame(frame + b"extra")
-        assert (opcode, payload, used) == (7, b"payload", len(frame))
+        reader = wire.FrameReader(None, bytearray(frame + b"extra"))
+        assert wire.read_frame(reader) == (7, b"payload")
+        assert reader.buf == b"extra"
 
     def test_truncated_header(self):
-        with pytest.raises(wire.ProtocolError, match="header"):
-            wire.decode_frame(b"\x00\x00")
+        with pytest.raises(ConnectionError, match="mid-frame"):
+            _read_cut_off(b"\x00\x00")
 
     def test_truncated_payload(self):
-        with pytest.raises(wire.ProtocolError, match="payload"):
-            wire.decode_frame(b"\x00\x00\x00\x05\x01ab")
+        with pytest.raises(ConnectionError, match="mid-frame"):
+            _read_cut_off(b"\x00\x00\x00\x05\x01ab")
 
     def test_oversized_payload_rejected_on_encode(self):
         with pytest.raises(wire.ProtocolError, match="exceeds"):
@@ -39,7 +58,7 @@ class TestFraming:
     def test_oversized_length_rejected_on_decode(self):
         bad = (wire.MAX_PAYLOAD + 1).to_bytes(4, "big") + b"\x01"
         with pytest.raises(wire.ProtocolError, match="exceeds") as exc:
-            wire.decode_frame(bad)
+            wire.read_frame(wire.FrameReader(None, bytearray(bad)))
         assert exc.value.opcode == 1
 
 
@@ -265,10 +284,7 @@ _responses = st.one_of(
 @given(_requests)
 @settings(max_examples=300, deadline=None)
 def test_request_round_trip_property(req):
-    frame = wire.encode_request(req)
-    opcode, payload, used = wire.decode_frame(frame)
-    assert used == len(frame)
-    assert wire.decode_request(opcode, payload) == req
+    assert wire.decode_request(*read_whole_frame(wire.encode_request(req))) == req
 
 
 @given(_responses)
@@ -317,8 +333,7 @@ def test_bulk_random_round_trip():
     rng = random.Random(0xC0FFEE)
     for _ in range(20_000):
         req = random_request(rng)
-        opcode, payload, _ = wire.decode_frame(wire.encode_request(req))
-        assert wire.decode_request(opcode, payload) == req
+        assert wire.decode_request(*read_whole_frame(wire.encode_request(req))) == req
         opcode, resp = random_response(rng)
         assert wire.decode_response(opcode, wire.encode_response(resp)) == resp
 
@@ -371,6 +386,4 @@ def test_not_found_is_get_only():
 
 def test_error_response_frame_echoes_opcode():
     frame = wire.error_response_frame(0xFF, wire.ST_BAD_REQUEST)
-    opcode, payload, _ = wire.decode_frame(frame)
-    assert opcode == 0xFF
-    assert payload == bytes([wire.ST_BAD_REQUEST])
+    assert read_whole_frame(frame) == (0xFF, bytes([wire.ST_BAD_REQUEST]))

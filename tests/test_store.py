@@ -563,7 +563,7 @@ def test_lru_pin_matches_reference_hot_tier(ops, capacity_pin, halflife):
         assert (stats.cache_hits, stats.cache_misses, stats.cache_entries) == (
             model.hits, model.misses, len(model.entries)
         )
-        assert len(store._cache._heap) + len(store._cache._fifo_seqs) <= 2 * stats.cache_entries + 64
+        assert len(store._cache._heap) + len(store._cache._fifo) <= 2 * stats.cache_entries + 64
 
 
 def _replay_against_model(ops, capacity, pin, halflife):
@@ -584,7 +584,7 @@ def _replay_against_model(ops, capacity, pin, halflife):
         assert (stats.cache_hits, stats.cache_misses, stats.cache_entries) == (
             model.hits, model.misses, len(model.entries)
         )
-        assert len(store._cache._heap) + len(store._cache._fifo_seqs) <= 2 * stats.cache_entries + 64
+        assert len(store._cache._heap) + len(store._cache._fifo) <= 2 * stats.cache_entries + 64
 
 
 def _admission_runs(capacity, quarters):
@@ -710,7 +710,7 @@ def test_lru_pin_bookkeeping_stays_bounded_under_put_delete_churn():
         if bid >= 8:
             store.delete(encode_key(NS, bid - 8))
         assert len(tier) <= 9
-        assert len(tier._heap) + len(tier._fifo_seqs) <= 2 * len(tier) + 64
+        assert len(tier._heap) + len(tier._fifo) <= 2 * len(tier) + 64
 
 
 def test_concurrent_readers_and_writers_with_per_op_atomicity():
