@@ -6,13 +6,15 @@ one response frame on the same connection, carrying the request's opcode; the
 first response payload byte is a status code. One ``FrameReader`` per end
 reads a connection, so a frame that arrives whole costs one ``recv``.
 
-``read_frame`` is the one place a connection waits. While a connection that
-``service`` counts is the only open one in its process, counting both ends,
-it polls with non-blocking ``recv`` for ``POLL_S`` before it sleeps in one
-blocking ``recv``, since a metadata op's reply comes sooner than a sleeping
-thread wakes. The cost is CPU, at most ``POLL_S`` per wait, so an idle
-connection costs almost nothing. Beside other connections a polling thread
-would keep the GIL from threads with work, so every wait sleeps at once.
+``read_frame`` is the one place a client connection waits, and the server's
+loop reads through it too. While a connection that ``service`` counts is the
+only open one in its process, counting both ends, it polls with non-blocking
+``recv`` for ``POLL_S`` before it sleeps in one blocking ``recv``, since a
+metadata op's reply comes sooner than a sleeping thread wakes; on the
+server's non-blocking sockets that ``recv`` raises ``BlockingIOError`` and
+the loop selects instead. The cost is CPU, at most ``POLL_S`` per wait, so an
+idle connection costs almost nothing. Beside other connections a polling
+thread would keep the GIL from threads with work, so every wait sleeps at once.
 
 Messages are plain tuples. A request is (opcode, *fields) and a response is
 (opcode, status, result), where result is the return value of the
@@ -160,7 +162,7 @@ def _decode_delete(body: bytes) -> bool:
 
 
 def _encode_stats(stats: IndexStats) -> bytes:
-    return _STATS.pack(*stats.__dict__.values())  # dataclass fields, in wire order
+    return _STATS.pack(*stats)  # fields in wire order
 
 
 def _decode_stats(body: bytes) -> IndexStats:
@@ -227,7 +229,7 @@ class FrameReader(NamedTuple):
     """A connection's socket and the bytes received past the last frame read.
 
     ``polls`` marks a connection that ``service`` counts, on a socket without
-    a CPython timeout (with one, a non-blocking recv would wait in ``poll``).
+    a positive CPython timeout (with one, a non-blocking recv waits in ``poll``).
     """
 
     sock: socket.socket
@@ -251,19 +253,27 @@ def _recv(reader: FrameReader) -> bytes:
     return sock.recv(_RECV_BYTES)
 
 
+def buffered_frame(buf: bytearray) -> tuple[int, bytes] | None:
+    """Take the whole frame at the head of buf out of it, or None if buf holds
+    no whole frame; ProtocolError carrying the opcode if it is oversized."""
+    if len(buf) >= _HEADER.size:
+        opcode, end = _frame_end(buf)
+        if len(buf) >= end:
+            payload = bytes(buf[_HEADER.size:end])
+            del buf[:end]
+            return opcode, payload
+    return None
+
+
 def read_frame(reader: FrameReader) -> tuple[int, bytes] | None:
     """Next frame on the reader's connection, or None on clean EOF at a frame
     boundary; it receives only while no whole frame is buffered. Raises
     ConnectionError if the peer closes mid-frame, and ProtocolError carrying
-    the frame's opcode if its length exceeds MAX_PAYLOAD."""
+    the frame's opcode if its length exceeds MAX_PAYLOAD. On a non-blocking
+    socket, BlockingIOError means no whole frame has arrived yet; the bytes
+    received stay buffered for the next call."""
     buf = reader.buf
-    while True:
-        if len(buf) >= _HEADER.size:
-            opcode, end = _frame_end(buf)
-            if len(buf) >= end:
-                payload = bytes(buf[_HEADER.size:end])
-                del buf[:end]
-                return opcode, payload
+    while (frame := buffered_frame(buf)) is None:
         chunk = _recv(reader)
         if not chunk:
             if buf:
@@ -274,6 +284,7 @@ def read_frame(reader: FrameReader) -> tuple[int, bytes] | None:
             if end == len(chunk):
                 return opcode, chunk[_HEADER.size:]
         buf += chunk
+    return frame
 
 
 def encode_request(req: tuple) -> bytes:

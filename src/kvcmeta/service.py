@@ -5,18 +5,22 @@ HybridMetaStore's semantics) can be served over the wire or driven by the
 bench replayer; the remote client itself satisfies the same contract, so a
 benchmark cannot tell a local store from a served one apart from latency.
 
-Per-connection ordering: ``StoreServer``, one ``ThreadingTCPServer`` that
-serves each connection on its own thread, answers a connection's requests
+Per-connection ordering: ``StoreServer``, one thread running one
+``selectors`` loop over every connection, answers a connection's requests
 strictly in arrival order, one response frame per request frame. Requests on
 different connections interleave arbitrarily. The remote client keeps one
 connection per calling thread, so concurrent workers never share a socket.
 Each end reads a connection through one ``protocol.FrameReader``, so a
-frame that arrives whole costs one ``recv``.
+frame that arrives whole costs one ``recv``. The loop's sockets are
+non-blocking, and a turn on a connection answers the frames that one
+``recv`` brings; it reads on only while no other socket is ready, so no
+connection holds the loop while others wait or ``stop()`` does.
 
 The module counts the process's open connections, both ends: a served one
-while its thread serves it, a client one from connect until dropped or closed.
+while the loop holds it, a client one from connect until dropped or closed.
 While the count is 1, ``protocol.read_frame`` polls for up to
-``protocol.POLL_S`` before it sleeps, which costs that much CPU per wait.
+``protocol.POLL_S`` before it sleeps or, in the server's loop, selects, which
+costs that much CPU per wait.
 
 Transport failures (connect/reset/timeout/undecodable response) raise
 TransportError; they are never reported as a miss.
@@ -25,10 +29,11 @@ TransportError; they are never reported as a miss.
 from __future__ import annotations
 
 import socket
-import socketserver
 import struct
 import threading
 from contextlib import suppress
+from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector, SelectorKey
+from time import monotonic
 from typing import Protocol, runtime_checkable
 
 from . import protocol as wire
@@ -43,7 +48,8 @@ class TransportError(Exception):
 
 @runtime_checkable
 class Backend(Protocol):
-    """The abstract store contract shared by all backends."""
+    """The abstract store contract shared by all backends. ``StoreServer``
+    calls a served backend on its one loop thread, so that one must not block."""
 
     def put(self, key: bytes, value: int) -> int | None: ...
 
@@ -58,61 +64,80 @@ class Backend(Protocol):
     def stats(self) -> IndexStats: ...
 
 
-class StoreServer(socketserver.ThreadingTCPServer):
-    """A store service with one thread per connection; stop() drains
-    in-flight requests."""
+class StoreServer:
+    """A store service: one thread runs one ``selectors`` loop over every socket and calls
+    the backend, which therefore must not block; stop() drains in-flight requests."""
 
-    allow_reuse_address = True
-    daemon_threads = False
-    block_on_close = True
     DRAIN_S = 5.0  # how long stop() lets connections finish before cutting them off
-    POLL_S = 0.05  # how often the accept loop checks for stop(); bounds its latency
 
     def __init__(self, address: tuple[str, int], backend: Backend):
         self.backend = backend
-        self._open: set[socket.socket] = set()
-        self._open_changed = threading.Condition()
-        super().__init__(address, None)  # finish_request serves, not a handler class
-        self._acceptor = threading.Thread(target=self.serve_forever, args=(self.POLL_S,),
-                                          daemon=True)
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server_address[:2]
+        self._listener = socket.create_server(address)
+        self._listener.setblocking(False)
+        self.address: tuple[str, int] = self._listener.getsockname()[:2]
+        self._wake, self._notify = socket.socketpair()  # stop() writes a byte to _notify
+        self._sel = DefaultSelector()
+        self._sel.register(self._listener, EVENT_READ)
+        self._sel.register(self._wake, EVENT_READ)
+        self._thread = threading.Thread(target=self._run, daemon=True)
 
     def start(self) -> "StoreServer":
-        self._acceptor.start()
+        self._thread.start()
         return self
 
-    def process_request(self, request, client_address) -> None:
-        with self._open_changed:
-            self._open.add(request)
-        super().process_request(request, client_address)
+    def _run(self) -> None:
+        """Serve until stop(), drain for up to ``DRAIN_S``, close what is left."""
+        sel, deadline = self._sel, None
+        while sel.get_map() and (deadline is None or monotonic() < deadline):
+            for key, _ in sel.select(None if deadline is None else deadline - monotonic()):
+                if key.data is not None:
+                    self._serve(key, deadline is None and wire._open_connections == 1)
+                elif key.fileobj is self._wake:  # stop()
+                    deadline = monotonic() + self.DRAIN_S
+                    sel.unregister(self._wake)
+                    sel.unregister(self._listener)
+                    for conn in sel.get_map().values():  # idle ones see EOF, busy ones still reply
+                        with suppress(OSError):
+                            conn.fileobj.shutdown(socket.SHUT_RD)
+                elif deadline is None:  # the listener, unless stop() came in the same select
+                    self._accept()
+        for key in list(sel.get_map().values()):
+            self._close(key.fileobj)
 
-    def shutdown_request(self, request) -> None:
-        with self._open_changed:
-            self._open.discard(request)
-            self._open_changed.notify_all()
-        super().shutdown_request(request)
-
-    def finish_request(self, sock, client_address) -> None:
-        """Answer the connection's frames in order until EOF, reset or stop()."""
-        wire.count_connections(1)
+    def _accept(self) -> None:
         try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # An accepted socket has a CPython timeout only under socket.setdefaulttimeout.
-            reader = wire.FrameReader(sock, bytearray(), sock.gettimeout() is None)
-            sendall, respond = sock.sendall, self._respond
-            try:
-                while (frame := wire.read_frame(reader)) is not None:
-                    sendall(respond(*frame))
-            except wire.ProtocolError as exc:
-                # Framing cannot be trusted past an oversized header; reject and drop.
-                sendall(wire.error_response_frame(exc.opcode, wire.ST_BAD_REQUEST))
+            sock = self._listener.accept()[0]
         except OSError:
-            return  # reset, closed mid-frame, or shut down by stop()
-        finally:
-            wire.count_connections(-1)
+            return  # the peer gave up before it was accepted
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        wire.count_connections(1)
+        self._sel.register(sock, EVENT_READ, (wire.FrameReader(sock, bytearray(), True), b""))
+
+    def _serve(self, key: SelectorKey, alone: bool) -> None:
+        """Answer in order the frames buffered and those one recv brings; what a full socket
+        buffer refuses waits in the key. A further recv, which polls first like a client's,
+        needs ``alone`` (not draining, one counted connection) and no other socket ready."""
+        sock, (reader, out), received = key.fileobj, key.data, False
+        try:
+            while not out or not (out := out[sock.send(out):]):  # nothing left to send
+                if (frame := wire.buffered_frame(reader.buf)) is None:
+                    if received and not (alone and all(k is key for k, _ in self._sel.select(0))):
+                        break
+                    received = True
+                    if (frame := wire.read_frame(reader)) is None:
+                        return self._close(sock)
+                out = self._respond(*frame)
+        except BlockingIOError:
+            pass  # recv would wait, or send found the buffer full
+        except wire.ProtocolError as exc:  # framing is lost past an oversized header
+            with suppress(OSError):
+                sock.send(wire.error_response_frame(exc.opcode, wire.ST_BAD_REQUEST))
+            return self._close(sock)
+        except OSError:
+            return self._close(sock)  # reset, or closed mid-frame
+        if out or key.events != EVENT_READ:
+            self._sel.modify(sock, EVENT_WRITE if out else EVENT_READ, (reader, out))
 
     def _respond(self, opcode: int, payload: bytes) -> bytes:
         try:
@@ -129,33 +154,31 @@ class StoreServer(socketserver.ThreadingTCPServer):
         except Exception:
             return wire.error_response_frame(opcode, wire.ST_INTERNAL)
 
+    def _close(self, sock: socket.socket) -> None:
+        self._sel.unregister(sock)
+        wire.count_connections(-1)  # before the peer can see the close
+        sock.close()
+
     def stop(self) -> None:
-        """Stop accepting, then shut reading down on every open connection:
-        idle ones see EOF and busy ones send their reply. After ``DRAIN_S``,
-        shut writing down too, which ends a connection thread blocked on a
-        peer that does not read. A server never started only closes its
-        socket."""
-        started = self._acceptor.is_alive()
-        if started:
-            self.shutdown()  # no new connections after this returns
-        with self._open_changed:
-            for how in (socket.SHUT_RD, socket.SHUT_RDWR):
-                for sock in self._open:
-                    try:
-                        sock.shutdown(how)
-                    except OSError:
-                        pass
-                self._open_changed.wait_for(lambda: not self._open, self.DRAIN_S)
-        self.server_close()  # joins the connection threads
-        if started:
-            self._acceptor.join(timeout=10.0)
+        """Stop accepting, shut reading down on every connection and wait while the loop
+        drains them for up to ``DRAIN_S``; a server never started only closes its sockets."""
+        if self._thread.is_alive():
+            self._notify.send(b"\0")
+            self._thread.join()
+        for sock in (self._listener, self._wake, self._notify):
+            sock.close()
+        self._sel.close()
+
+    def __enter__(self) -> "StoreServer":
+        return self
 
     def __exit__(self, *exc) -> None:
         self.stop()
 
 
 def serve(address: tuple[str, int], backend: Backend) -> StoreServer:
-    """Bind and start serving the backend; returns the running handle.
+    """Bind and start serving the backend, which must not block (see
+    ``StoreServer``); returns the running handle.
 
     Bind failures propagate as OSError. Use port 0 to let the OS pick, then
     read the actual port from handle.address.

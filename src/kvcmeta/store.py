@@ -47,10 +47,10 @@ import threading
 import time
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
-from dataclasses import dataclass
 from hashlib import sha256
 from heapq import heapify, heappop, heappush, heapreplace
 from math import exp, log1p
+from typing import NamedTuple
 
 NAMESPACE_BYTES = 24
 KEY_BYTES = 32
@@ -108,16 +108,22 @@ def hash_key(namespace: bytes | str, block_id: int) -> bytes:
     return sha256(_namespace_tag(namespace) + block_id.to_bytes(8, "big")).digest()
 
 
-@dataclass(frozen=True)
-class CacheConfig:
-    """Hot-entry cache layer configuration. capacity_entries 0 disables it."""
+class _CacheFields(NamedTuple):
+    """CacheConfig's fields and defaults, in order; CacheConfig checks them."""
 
     capacity_entries: int = 0
     policy: str = "lru"
     pin_first_n: int = 16
     hotness_halflife_s: float = 600.0
 
-    def __post_init__(self) -> None:
+
+class CacheConfig(_CacheFields):
+    """Hot-entry cache layer configuration. capacity_entries 0 disables it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "CacheConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.capacity_entries < 0:
             raise ValueError("capacity_entries must be >= 0")
         if self.policy not in ("lru", "lru_pin"):
@@ -132,10 +138,14 @@ class CacheConfig:
             and self.pin_first_n > self.capacity_entries
         ):
             raise ValueError("pin_first_n must not exceed capacity_entries")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "CacheConfig":
+        return cls(*iterable)  # _replace builds through _make, so it checks too
 
 
-@dataclass(frozen=True)
-class IndexStats:
+class IndexStats(NamedTuple):
     """Operation and cache counters. Field order is the wire order."""
 
     puts: int = 0

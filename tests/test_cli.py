@@ -352,6 +352,84 @@ class TestServeCmd:
         """
         assert f"signal {int(signum)}: draining" in self._run_serve(prelude, 0.01, str(int(signum)))
 
+    def test_serve_on_a_port_already_bound_exits_1(self):
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kvcmeta.cli", "serve",
+                 "--listen", "127.0.0.1:%d" % taken.getsockname()[1]],
+                capture_output=True, text=True, timeout=30, check=False,
+                env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 1
+        assert "bind failed" in proc.stderr
+
+    def test_serve_answers_and_drains_while_a_client_keeps_it_busy(self):
+        """A client process whose next gets are always there (one thread sends
+        them without end, another reads the replies) keeps the serve child,
+        whose gets cost 50 us each, from neither answering a second connection
+        nor draining on SIGTERM."""
+        drain_s = 1.0
+        prelude = f"""
+            import sys, time
+            from kvcmeta import cli, service
+            from kvcmeta.store import HybridMetaStore
+            service.StoreServer.DRAIN_S = {drain_s}
+            real_get = HybridMetaStore.get
+            def slow_get(self, key):
+                until = time.perf_counter() + 50e-6
+                while time.perf_counter() < until:
+                    pass
+                return real_get(self, key)
+            HybridMetaStore.get = slow_get
+        """
+        env = {**os.environ, "PYTHONPATH": SRC}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", textwrap.dedent(prelude) + self.SERVE % 3600],
+            stderr=subprocess.PIPE, text=True, env=env)
+        busy = None
+        try:
+            while "serving on" not in (line := proc.stderr.readline()):
+                assert line, "serve exited before it bound"
+            port = int(line.rsplit(":", 1)[1])
+            busy = subprocess.Popen([sys.executable, "-c", textwrap.dedent(f"""
+                import socket, threading
+                from kvcmeta import protocol as wire
+                sock = socket.create_connection(("127.0.0.1", {port}))
+                get = wire.encode_request((wire.OP_GET, bytes(32)))
+                def feed():
+                    try:
+                        while True:
+                            sock.sendall(get * 1_024)
+                    except OSError:  # the drain closed the connection
+                        pass
+                threading.Thread(target=feed, daemon=True).start()
+                reader, gets = wire.FrameReader(sock, bytearray()), 0
+                try:
+                    while wire.read_frame(reader):
+                        gets += 1
+                        if gets == 4_096:
+                            print("busy", flush=True)
+                except OSError:
+                    pass
+                print(gets)
+            """)], stdout=subprocess.PIPE, text=True, env=env)
+            assert busy.stdout.readline() == "busy\n"
+            with RemoteBackend("127.0.0.1", port, timeout=5.0) as other:
+                started = time.monotonic()
+                assert other.get(bytes(32)) is None
+                assert time.monotonic() - started < 1.0
+            assert busy.poll() is None
+            started = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=drain_s + 10) == 0
+            assert time.monotonic() - started < drain_s + 2.0
+            assert int(busy.communicate(timeout=10)[0]) > 4_096
+        finally:
+            for child in (proc, busy):
+                if child is not None:
+                    if child.poll() is None:
+                        child.kill()
+                    child.communicate()
+
     @pytest.mark.parametrize("interval", ["0", "-1", "nan", "1e300"])
     def test_stats_interval_must_be_a_positive_wait(self, interval, capsys):
         with pytest.raises(SystemExit) as exc:  # parse only: serve would not return
@@ -373,12 +451,14 @@ def test_bench_rejects_an_unknown_choice(option, trace_file, tmp_path, capsys):
 def test_serve_imports_only_what_it_serves():
     """A serve process (perfbench/server.py imports ``cli`` and ``protocol``
     and builds the parser) loads no analysis, benchmark, synthesis, report or
-    trace code; the package's public names still all resolve on first use."""
+    trace code, nor ``socketserver`` or ``dataclasses`` (with ``inspect``, ~7 ms
+    of its start); the package's public names still all resolve on first use."""
     script = """if True:
         import json, sys
         from kvcmeta import cli, protocol
         cli.build_parser()
-        print(json.dumps([m for m in sys.modules if m.startswith("kvcmeta.")]))
+        print(json.dumps([[m for m in sys.modules if m.startswith("kvcmeta.")],
+                          [m for m in ("socketserver", "dataclasses") if m in sys.modules]]))
         import kvcmeta
         for name in kvcmeta.__all__:
             getattr(kvcmeta, name)
@@ -397,9 +477,10 @@ def test_serve_imports_only_what_it_serves():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, check=False, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    loaded, stdlib = json.loads(proc.stdout)
     assert sorted(loaded) == ["kvcmeta.cli", "kvcmeta.protocol", "kvcmeta.service",
                               "kvcmeta.store"]
+    assert stdlib == []
 
 
 class TestSvgRendering:

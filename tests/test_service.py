@@ -303,6 +303,33 @@ def test_stop_drains_in_flight_and_wakes_idle_connections():
             conn.close()
 
 
+def test_stop_accepts_no_connection_that_arrives_with_it():
+    """A connection that reaches the listener's backlog in the same select as
+    stop()'s wake byte stays unaccepted: the drain would not shut it down
+    and would wait ``DRAIN_S`` for it to close."""
+    entered, release = threading.Event(), threading.Event()
+
+    class SlowStore(HybridMetaStore):
+        def get(self, key):
+            entered.set()
+            release.wait(5.0)
+            return super().get(key)
+
+    handle = serve(("127.0.0.1", 0), SlowStore())
+    with socket.create_connection(handle.address, timeout=5.0) as busy:
+        busy.sendall(wire.encode_request(wire.GetRequest(encode_key(NS, 1))))
+        assert entered.wait(5.0)  # the loop is inside the backend call
+        stopper = threading.Thread(target=handle.stop)
+        stopper.start()
+        time.sleep(0.2)  # the wake byte is written
+        with socket.create_connection(handle.address, timeout=5.0):
+            started = time.monotonic()
+            release.set()
+            stopper.join(timeout=10.0)
+            assert not stopper.is_alive()
+            assert time.monotonic() - started < 2.0
+
+
 def test_stop_cuts_off_a_peer_that_does_not_read_its_replies(monkeypatch):
     monkeypatch.setattr(StoreServer, "DRAIN_S", 0.5)
     store = HybridMetaStore()
@@ -320,6 +347,35 @@ def test_stop_cuts_off_a_peer_that_does_not_read_its_replies(monkeypatch):
         stopper.join(timeout=10.0)
         assert not stopper.is_alive()
         assert time.monotonic() - started < 3.0
+
+
+def test_a_peer_that_does_not_read_delays_no_other_connection(server):
+    """The loop sends without blocking: replies a stalled peer's buffers
+    refuse wait while other connections are served."""
+    handle, store = server
+    for bid in range(1_000):
+        store.put(encode_key(NS, bid), bid)
+    scan = wire.ScanRequest(encode_key(NS, 0), encode_key(NS, 1_000), 1_000)
+    with socket.create_connection(handle.address, timeout=5.0) as stalled:
+        stalled.sendall(wire.encode_request(scan) * 400)  # 16 MB of replies, never read
+        time.sleep(0.5)
+        with connect(handle.address, timeout=5.0) as other:
+            started = time.monotonic()
+            assert other.get(encode_key(NS, 1)) == 1
+            assert time.monotonic() - started < 1.0
+
+
+def test_one_thread_serves_every_connection(server):
+    handle, _ = server
+    threads = threading.active_count()
+    clients = [connect(handle.address) for _ in range(8)]
+    try:
+        for client in clients:
+            client.stats()
+        assert threading.active_count() == threads
+    finally:
+        for client in clients:
+            client.close()
 
 
 def test_stop_with_an_idle_connection_is_prompt():

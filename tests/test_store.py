@@ -115,6 +115,17 @@ class TestCacheConfig:
         with pytest.raises(ValueError):
             CacheConfig(capacity_entries=-1)
 
+    def test_replace_and_make_check_like_the_constructor(self):
+        cfg = CacheConfig(capacity_entries=8, policy="lru_pin", pin_first_n=4)
+        assert cfg._replace(pin_first_n=8) == CacheConfig(8, "lru_pin", 8, 600.0)
+        assert type(cfg._replace(pin_first_n=8)) is CacheConfig
+        with pytest.raises(ValueError, match="capacity_entries"):
+            cfg._replace(capacity_entries=-1)
+        with pytest.raises(ValueError, match="pin_first_n"):
+            cfg._replace(pin_first_n=9)
+        with pytest.raises(ValueError, match="policy"):
+            CacheConfig._make((8, "mru", 4, 600.0))
+
 
 class TestBasicOps:
     def test_put_fresh_returns_none(self):
