@@ -59,6 +59,8 @@ class ExternalBackend:
     ) -> list[tuple[bytes, int]]:
         if start >= end_exclusive:
             raise BadRangeError("scan start must be < end_exclusive")
+        if max_results is not None and max_results < 0:
+            raise ValueError("max_results must be >= 0")
         self._count(2)
         kwargs = {}
         if max_results is not None:

@@ -294,7 +294,10 @@ def encode_request(req: tuple) -> bytes:
         raise ProtocolError(f"not a request: {req!r}")
     for i in op.keys:
         _check_key(req[i])
-    return op.header + op.payload.pack(*req[1:])
+    try:
+        return op.header + op.payload.pack(*req[1:])
+    except struct.error as exc:  # a field its struct code cannot hold
+        raise ProtocolError(f"cannot encode {op.method.upper()} request: {exc}", req[0]) from exc
 
 
 def decode_request(opcode: int, payload: bytes) -> tuple:

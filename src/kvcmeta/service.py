@@ -1,9 +1,8 @@
 """Store service: pluggable backend contract, TCP server, remote client.
 
-Any object with the five operations below (put/get/scan/delete/stats, with
-HybridMetaStore's semantics) can be served over the wire or driven by the
-bench replayer; the remote client itself satisfies the same contract, so a
-benchmark cannot tell a local store from a served one apart from latency.
+Any ``Backend`` can be served over the wire or driven by the bench replayer;
+the remote client keeps the same contract, so a benchmark cannot tell a
+local store from a served one apart from latency.
 
 Per-connection ordering: ``StoreServer``, one thread running one
 ``selectors`` loop over every connection, answers a connection's requests
@@ -34,7 +33,7 @@ import threading
 from contextlib import suppress
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector, SelectorKey
 from time import monotonic
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 from . import protocol as wire
 from .store import BadRangeError, IndexStats
@@ -46,10 +45,17 @@ class TransportError(Exception):
     """The remote exchange failed (network, timeout, or decode error)."""
 
 
-@runtime_checkable
 class Backend(Protocol):
-    """The abstract store contract shared by all backends. ``StoreServer``
-    calls a served backend on its one loop thread, so that one must not block."""
+    """The store contract every backend keeps; tests/test_contract.py checks it.
+
+    ``put`` returns the replaced value or None, ``get`` the value or None,
+    ``delete`` whether the key was present, and ``scan`` at most ``max_results``
+    (None: all) entries with start <= key < end_exclusive, in key order; it
+    raises ``BadRangeError`` if start >= end_exclusive and ``ValueError`` if
+    ``max_results`` < 0, and counts neither. ``stats`` counts puts, gets, scans,
+    deletes and resident entries; only the in-process store keeps the cache
+    fields. A served backend must not block: ``StoreServer`` calls it on its
+    one loop thread."""
 
     def put(self, key: bytes, value: int) -> int | None: ...
 

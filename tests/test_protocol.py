@@ -343,6 +343,18 @@ def test_unknown_opcode_rejected():
         wire.decode_request(0xFF, b"")
 
 
+def test_request_field_out_of_range_is_protocol_error_with_its_opcode():
+    cases = [
+        (wire.PutRequest(KEY, 2**64), "PUT"),
+        (wire.PutRequest(KEY, -1), "PUT"),
+        (wire.ScanRequest(KEY, KEY2, 2**32), "SCAN"),
+    ]
+    for req, name in cases:
+        with pytest.raises(wire.ProtocolError, match=f"^cannot encode {name} request") as raised:
+            wire.encode_request(req)
+        assert raised.value.opcode == req[0]
+
+
 def test_bad_payload_sizes_rejected():
     cases = [
         (wire.OP_PUT, b"\x00" * 39),

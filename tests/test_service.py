@@ -12,7 +12,7 @@ import pytest
 
 from kvcmeta import protocol as wire
 from kvcmeta.service import RemoteBackend, StoreServer, TransportError, connect, serve
-from kvcmeta.store import BadRangeError, CacheConfig, HybridMetaStore, encode_key
+from kvcmeta.store import CacheConfig, HybridMetaStore, encode_key
 from oracle_store import ModelStore
 
 NS = b"svc"
@@ -51,16 +51,6 @@ def remote(server):
     backend.close()
 
 
-def test_put_get_round_trip(remote):
-    key = encode_key(NS, 1)
-    assert remote.put(key, 42) is None
-    assert remote.get(key) == 42
-    assert remote.put(key, 43) == 42
-    assert remote.delete(key) is True
-    assert remote.delete(key) is False
-    assert remote.get(key) is None
-
-
 def test_remote_get_equals_inproc_get_for_random_keys(remote, server):
     _, store = server
     rng = random.Random(1)
@@ -72,32 +62,6 @@ def test_remote_get_equals_inproc_get_for_random_keys(remote, server):
         local.put(key, 7)
     for key in keys:
         assert remote.get(key) == local.get(key)
-
-
-def test_scan_truncation_matches_inproc(remote):
-    local = HybridMetaStore()
-    for bid in range(20):
-        for backend in (remote, local):
-            backend.put(encode_key(NS, bid), bid)
-    for mx in (None, 0, 3, 25):
-        lo, hi = encode_key(NS, 0), encode_key(NS, 20)
-        assert remote.scan(lo, hi, max_results=mx) == local.scan(lo, hi, max_results=mx)
-
-
-def test_scan_bad_range_raises_locally(remote):
-    with pytest.raises(BadRangeError):
-        remote.scan(encode_key(NS, 5), encode_key(NS, 5))
-
-
-def test_stats_over_wire(remote):
-    key = encode_key(NS, 9)
-    remote.put(key, 1)
-    remote.get(key)
-    remote.get(encode_key(NS, 10))
-    stats = remote.stats()
-    assert stats.puts == 1
-    assert stats.gets == 2
-    assert stats.resident_entries == 1
 
 
 def test_transparency_on_randomized_sequence(remote):
@@ -168,6 +132,18 @@ def test_store_error_is_internal_and_the_client_keeps_its_connection(connection_
             remote.put(encode_key(NS, 2), 2)  # StoreCapacityError on the server
         assert wire._open_connections == connection_count + 2  # not dropped
         assert remote.get(encode_key(NS, 1)) == 1
+
+
+def test_out_of_u64_value_is_value_error_and_the_client_keeps_its_connection(
+        server, connection_count):
+    key = encode_key(NS, 1)
+    with connect(server[0].address) as remote:
+        remote.put(key, 1)
+        for value in (2**64, -1):
+            with pytest.raises(ValueError, match="PUT"):  # raised before anything is sent
+                remote.put(key, value)
+        assert wire._open_connections == connection_count + 2  # not dropped
+        assert remote.get(key) == 1
 
 
 def test_oversized_frame_bad_request_then_dropped(server, connection_count):
@@ -564,15 +540,6 @@ def test_connect_refused_is_transport_error():
 def test_connect_endpoint_string():
     with pytest.raises(ValueError, match="host:port"):
         connect("no-port-here")
-
-
-def test_value_boundaries_over_wire(remote):
-    key = encode_key(NS, 2**64 - 1)
-    remote.put(key, 2**64 - 1)
-    assert remote.get(key) == 2**64 - 1
-    key0 = encode_key(NS, 0)
-    remote.put(key0, 0)
-    assert remote.get(key0) == 0
 
 
 def test_per_connection_response_order(server):
