@@ -35,14 +35,6 @@ class Run:
 
 
 @dataclass(frozen=True)
-class HitRateCdf:
-    """Empirical CDF: (hit_rate, cumulative_fraction) with hit_rate strictly
-    increasing and the final cumulative fraction equal to 1."""
-
-    points: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
 class RunsTestStat:
     """Wald-Wolfowitz runs-test statistic under the normal approximation.
 
@@ -70,7 +62,6 @@ class RunsTestReport:
     """
 
     mode: str
-    per_key: dict[int, float] = field(default_factory=dict)
     stats: dict[int, RunsTestStat] = field(default_factory=dict)
     tested: int = 0
     skipped: int = 0
@@ -79,15 +70,7 @@ class RunsTestReport:
     def fraction_random(self) -> float | None:
         if self.tested == 0:
             return None
-        return sum(1 for p in self.per_key.values() if p > 0.05) / self.tested
-
-
-@dataclass(frozen=True)
-class ReuseTimeline:
-    """One (bucket index, block id) point per block access occurrence."""
-
-    bucket_seconds: int
-    points: tuple[tuple[int, int], ...]
+        return sum(1 for st in self.stats.values() if st.p_value > 0.05) / self.tested
 
 
 def request_hit_rate(block_ids, seen: set[int]) -> float:
@@ -118,8 +101,10 @@ def request_hit_rates(trace: Trace) -> list[float]:
     return rates
 
 
-def hit_rate_cdf(trace: Trace) -> HitRateCdf:
-    """Empirical CDF of per-request hit rates over all non-empty requests."""
+def hit_rate_cdf(trace: Trace) -> tuple[tuple[float, float], ...]:
+    """Empirical CDF of per-request hit rates over all non-empty requests:
+    one (hit_rate, cumulative_fraction) point per distinct hit rate, hit
+    rates strictly increasing and the last fraction equal to 1."""
     rates = request_hit_rates(trace)
     if not rates:
         raise ValueError("trace has no non-empty requests")
@@ -133,7 +118,7 @@ def hit_rate_cdf(trace: Trace) -> HitRateCdf:
             j += 1
         points.append((rates[i], j / n))
         i = j
-    return HitRateCdf(tuple(points))
+    return tuple(points)
 
 
 def run_bounds(ids) -> list[int]:
@@ -268,19 +253,18 @@ def _apply_test(report: RunsTestReport, key: int, cats: list[int]) -> None:
     except DegenerateSequenceError:
         report.skipped += 1
         return
-    report.per_key[key] = stat.p_value
     report.stats[key] = stat
     report.tested += 1
 
 
-def reuse_timeline(trace: Trace, bucket_seconds: int = 60) -> ReuseTimeline:
-    """One point per block access occurrence, bucketed by arrival time."""
+def reuse_timeline(trace: Trace, bucket_seconds: int = 60) -> tuple[tuple[int, int], ...]:
+    """One (bucket index, block id) point per block access occurrence, in
+    trace order; bucket index is arrival_ms // (1000 * bucket_seconds)."""
     if bucket_seconds <= 0:
         raise ValueError("bucket_seconds must be positive")
     span = 1000 * bucket_seconds
-    points = [
+    return tuple(
         (req.arrival_ms // span, bid)
         for req in trace.requests
         for bid in req.block_ids
-    ]
-    return ReuseTimeline(bucket_seconds, tuple(points))
+    )

@@ -37,7 +37,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, groupby, starmap
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import KEY_SCHEMES, MODES, SCHEDULES
 from .store import key_encoder
@@ -396,8 +396,9 @@ def percentile(samples, q: float):
     return ordered[min(rank, n) - 1]
 
 
-@dataclass(frozen=True)
-class IntervalRow:
+class IntervalRow(NamedTuple):
+    """One line of interval_stats.csv."""
+
     interval_index: int
     op_kind: str
     count: int
@@ -447,8 +448,9 @@ def interval_stats(log: LatencyLog, interval_s: int = 60, warmup_s: int = 600) -
     return stats
 
 
-@dataclass(frozen=True)
-class NormalizedRow:
+class NormalizedRow(NamedTuple):
+    """One line of normalized.csv."""
+
     interval_index: int
     op_kind: str
     ratio: float | None  # None when the baseline p99 is 0 (undefined cell)
@@ -456,11 +458,11 @@ class NormalizedRow:
 
 @dataclass
 class NormalizedReport:
-    """Baseline-normalized p99 ratios per shared (interval, op kind) cell."""
+    """Baseline-normalized p99 ratios per shared (interval, op kind) cell;
+    a row whose baseline p99 is 0 has ratio None."""
 
     rows: list[NormalizedRow]
     mean_ratio_per_kind: dict[str, float]
-    undefined_cells: list[tuple[int, str]]
 
 
 def normalize(stats: IntervalStats, baseline: IntervalStats) -> NormalizedReport:
@@ -472,16 +474,14 @@ def normalize(stats: IntervalStats, baseline: IntervalStats) -> NormalizedReport
     if not shared:
         raise ValueError("no shared (interval, op_kind) cells to normalize")
     rows: list[NormalizedRow] = []
-    undefined: list[tuple[int, str]] = []
     sums: dict[str, list[float]] = {}
     for idx, kind in shared:
         b = base[(idx, kind)].p99_ns
         if b == 0:
             rows.append(NormalizedRow(idx, kind, None))
-            undefined.append((idx, kind))
             continue
         ratio = ours[(idx, kind)].p99_ns / b
         rows.append(NormalizedRow(idx, kind, ratio))
         sums.setdefault(kind, []).append(ratio)
     means = {kind: sum(v) / len(v) for kind, v in sums.items()}
-    return NormalizedReport(rows, means, undefined)
+    return NormalizedReport(rows, means)

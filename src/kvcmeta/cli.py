@@ -324,15 +324,7 @@ def cmd_report(args) -> int:
             fh.write(svg)
 
     if args.cdf:
-        points = []
-        with open(args.cdf, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != report.HIT_RATE_CDF_HEADER:
-                raise ValueError(f"{args.cdf}: unexpected header {header!r}")
-            for line in fh:
-                if line.strip():
-                    h, c = line.split(",")
-                    points.append((float(h), float(c)))
+        points = report.read_hit_rate_cdf(args.cdf)
         with open(os.path.join(args.out_dir, "hit_rate_cdf.svg"), "w", encoding="utf-8") as fh:
             fh.write(report.svg_cdf_chart(points))
 

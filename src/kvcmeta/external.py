@@ -44,6 +44,8 @@ class ExternalBackend:
             self._counters[idx] += 1
 
     def put(self, key: bytes, value: int) -> int | None:
+        if not 0 <= value < 1 << 64:
+            raise ValueError("value out of u64 range")
         self._count(0)
         old = self._client.set(self._vkey(key), value.to_bytes(8, "big"), get=True)
         self._client.zadd(self._zkey, {key: 0})

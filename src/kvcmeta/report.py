@@ -1,11 +1,14 @@
 """CSV artifacts, SVG charts, and run manifests.
 
 CSV is the authoritative output format; headers are fixed and byte-exact.
-Charts are written as self-contained SVG with no plotting dependency: the
-layout is stable for a given input but not guaranteed bit-identical across
-tool versions. Every command records a RunManifest next to its outputs with
-enough context (arguments, config snapshot, input digest) to re-run the
-exact experiment.
+A file whose rows have a type takes its header from that type's fields
+(``IntervalRow``, ``NormalizedRow``, ``LatencyRecord``), and each row is
+written as it is; the other files name their columns in one header
+constant. Charts are written as self-contained SVG with no plotting
+dependency: the layout is stable for a given input but not guaranteed
+bit-identical across tool versions. Every command records a RunManifest
+next to its outputs with enough context (arguments, config snapshot, input
+digest) to re-run the exact experiment.
 """
 
 from __future__ import annotations
@@ -13,27 +16,24 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
-from .analysis import HitRateCdf, ReuseTimeline, RunsTestReport
-from .bench import IntervalRow, IntervalStats, LatencyLog, NormalizedRow
-
-TOOL_VERSION = "0.1.0"
+from . import __version__
+from .analysis import RunsTestReport
+from .bench import IntervalRow, IntervalStats, LatencyLog, LatencyRecord, NormalizedRow
 
 HIT_RATE_CDF_HEADER = "hit_rate,cum_fraction"
 SEQ_FRACTION_HEADER = "request_index,arrival_ms,fraction"
 RUNS_TEST_HEADER = "key_or_request,p_value,n1,n2,runs"
 REUSE_TIMELINE_HEADER = "bucket_s,block_id"
-LATENCY_LOG_HEADER = "op_kind,issue_ms,latency_ns,outcome"
-INTERVAL_STATS_HEADER = "interval_index,op_kind,count,p50_ns,p99_ns"
-NORMALIZED_HEADER = "interval_index,op_kind,ratio"
+LATENCY_LOG_HEADER = ",".join(f.name for f in fields(LatencyRecord))
+INTERVAL_STATS_HEADER = ",".join(IntervalRow._fields)
+NORMALIZED_HEADER = ",".join(NormalizedRow._fields)
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return "nan" if x is None else str(x)
 
 
 def _write_rows(path: str, header: str, rows) -> None:
@@ -43,8 +43,36 @@ def _write_rows(path: str, header: str, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_hit_rate_cdf(path: str, cdf: HitRateCdf) -> None:
-    _write_rows(path, HIT_RATE_CDF_HEADER, cdf.points)
+def _read_rows(path: str, header: str, types) -> list[tuple]:
+    """The rows of a CSV file under ``header``, column i converted by
+    ``types[i]``; blank lines are skipped. A wrong header, or a row with the
+    wrong number of columns or a value its converter rejects, raises
+    ValueError naming ``path:line``."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        found = fh.readline().rstrip("\n")
+        if found != header:
+            raise ValueError(f"{path}:1: unexpected header {found!r}")
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split(",")
+            try:
+                if len(parts) != len(types):
+                    raise ValueError(f"expected {len(types)} columns, got {len(parts)}")
+                rows.append(tuple(convert(v) for convert, v in zip(types, parts)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    return rows
+
+
+def write_hit_rate_cdf(path: str, points: tuple[tuple[float, float], ...]) -> None:
+    _write_rows(path, HIT_RATE_CDF_HEADER, points)
+
+
+def read_hit_rate_cdf(path: str) -> tuple[tuple[float, float], ...]:
+    """Load a hit_rate_cdf.csv produced by write_hit_rate_cdf."""
+    return tuple(_read_rows(path, HIT_RATE_CDF_HEADER, (float, float)))
 
 
 def write_seq_fraction(path: str, rows) -> None:
@@ -60,8 +88,8 @@ def write_runs_test(path: str, report: RunsTestReport) -> None:
     _write_rows(path, RUNS_TEST_HEADER, rows)
 
 
-def write_reuse_timeline(path: str, timeline: ReuseTimeline) -> None:
-    _write_rows(path, REUSE_TIMELINE_HEADER, timeline.points)
+def write_reuse_timeline(path: str, points: tuple[tuple[int, int], ...]) -> None:
+    _write_rows(path, REUSE_TIMELINE_HEADER, points)
 
 
 def write_latency_log(path: str, log: LatencyLog) -> None:
@@ -69,42 +97,18 @@ def write_latency_log(path: str, log: LatencyLog) -> None:
 
 
 def write_interval_stats(path: str, stats: IntervalStats) -> None:
-    _write_rows(
-        path,
-        INTERVAL_STATS_HEADER,
-        ((r.interval_index, r.op_kind, r.count, r.p50_ns, r.p99_ns) for r in stats.rows),
-    )
+    _write_rows(path, INTERVAL_STATS_HEADER, stats.rows)
 
 
 def write_normalized(path: str, rows: list[NormalizedRow]) -> None:
-    _write_rows(
-        path,
-        NORMALIZED_HEADER,
-        (
-            (r.interval_index, r.op_kind, float("nan") if r.ratio is None else r.ratio)
-            for r in rows
-        ),
-    )
+    """An undefined ratio (None) is written as ``nan``."""
+    _write_rows(path, NORMALIZED_HEADER, rows)
 
 
 def read_interval_stats(path: str) -> IntervalStats:
     """Load an interval_stats.csv produced by write_interval_stats."""
-    stats = IntervalStats(interval_s=0, warmup_s=0)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != INTERVAL_STATS_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{line_no}: expected 5 columns")
-            stats.rows.append(
-                IntervalRow(int(parts[0]), parts[1], int(parts[2]), int(parts[3]), int(parts[4]))
-            )
-    return stats
+    rows = _read_rows(path, INTERVAL_STATS_HEADER, (int, str, int, int, int))
+    return IntervalStats(0, 0, [IntervalRow(*row) for row in rows])
 
 
 def sha256_file(path: str) -> str:
@@ -126,7 +130,7 @@ class RunManifest:
     backend: str | None
     started_at: str
     finished_at: str
-    version: str = TOOL_VERSION
+    version: str = __version__
     aborted: bool = False
 
     def write(self, out_dir: str, name: str = "manifest.json") -> str:

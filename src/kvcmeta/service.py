@@ -277,9 +277,9 @@ class RemoteBackend:
     ) -> list[tuple[bytes, int]]:
         if start >= end_exclusive:
             raise BadRangeError("scan start must be < end_exclusive")
-        mx = _UNLIMITED if max_results is None else max_results
-        if not 0 <= mx <= _UNLIMITED:
-            raise ValueError("max_results out of u32 range")
+        mx = _UNLIMITED if max_results is None or max_results > _UNLIMITED else max_results
+        if mx < 0:
+            raise ValueError("max_results must be >= 0")
         return list(self._call(wire.OP_SCAN, start, end_exclusive, mx))
 
     def delete(self, key: bytes) -> bool:

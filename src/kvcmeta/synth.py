@@ -221,10 +221,7 @@ class FitReport:
     deviations: dict[str, float]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"measured": self.measured, "targets": self.targets, "deviations": self.deviations},
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def measure(trace: Trace) -> dict[str, float]:

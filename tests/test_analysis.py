@@ -59,16 +59,16 @@ class TestRequestHitRate:
 class TestHitRateCdf:
     def test_two_identical_requests(self):
         cdf = hit_rate_cdf(_trace([(0, [1, 2]), (1, [1, 2])]))
-        assert cdf.points == ((0.0, 0.5), (1.0, 1.0))
+        assert cdf == ((0.0, 0.5), (1.0, 1.0))
 
     def test_disjoint_requests_single_step(self):
         cdf = hit_rate_cdf(_trace([(0, [1]), (1, [2]), (2, [3])]))
-        assert cdf.points == ((0.0, 1.0),)
+        assert cdf == ((0.0, 1.0),)
 
     def test_fixture(self, fixture_trace):
         assert request_hit_rates(fixture_trace) == [0.0, 1.0, 1 / 6, 1.0, 0.0]
         cdf = hit_rate_cdf(fixture_trace)
-        assert cdf.points == ((0.0, 0.4), (1 / 6, 0.6), (1.0, 1.0))
+        assert cdf == ((0.0, 0.4), (1 / 6, 0.6), (1.0, 1.0))
 
     def test_duplicates_within_request_do_not_self_hit(self):
         assert request_hit_rates(_trace([(0, [4, 4, 4])])) == [0.0]
@@ -87,8 +87,8 @@ class TestHitRateCdf:
     @settings(max_examples=100, deadline=None)
     def test_cdf_invariants(self, id_lists):
         cdf = hit_rate_cdf(_trace([(i, ids) for i, ids in enumerate(id_lists)]))
-        hit_rates = [p[0] for p in cdf.points]
-        cums = [p[1] for p in cdf.points]
+        hit_rates = [p[0] for p in cdf]
+        cums = [p[1] for p in cdf]
         assert hit_rates == sorted(set(hit_rates))
         assert cums == sorted(cums)
         assert cums[-1] == 1.0
@@ -273,8 +273,8 @@ class TestNonseqRandomnessReport:
         rows = [(i * 1000, [777] if i in occ else []) for i in range(max(occ) + 1)]
         rep = nonseq_randomness_report(_trace(rows))
         assert rep.tested == 1
-        assert rep.per_key[777] == pytest.approx(ORACLE_P_ALT_GAPS, abs=1e-12)
-        assert rep.per_key[777] < 0.05
+        assert rep.stats[777].p_value == pytest.approx(ORACLE_P_ALT_GAPS, abs=1e-12)
+        assert rep.stats[777].p_value < 0.05
         assert rep.fraction_random == 0.0
 
     def test_sequential_positions_are_excluded(self):
@@ -294,8 +294,8 @@ class TestNonseqRandomnessReport:
         ids = [10, 900, 20, 910, 30, 920, 40, 930, 50, 940]
         rep = nonseq_randomness_report(_trace([(0, ids)]), mode="per_request_median")
         assert rep.tested == 1
-        assert 0 in rep.per_key
-        assert rep.per_key[0] < 0.05  # strict alternation is non-random
+        assert 0 in rep.stats
+        assert rep.stats[0].p_value < 0.05  # strict alternation is non-random
 
     def test_per_request_median_skips_small_requests(self):
         rep = nonseq_randomness_report(_trace([(0, [5, 100, 7])]), mode="per_request_median")
@@ -310,17 +310,17 @@ class TestNonseqRandomnessReport:
 class TestReuseTimeline:
     def test_single_bucket(self):
         tl = reuse_timeline(_trace([(0, [1, 2])]))
-        assert tl.points == ((0, 1), (0, 2))
+        assert tl == ((0, 1), (0, 2))
 
     def test_bucket_floor_division(self):
         tl = reuse_timeline(_trace([(61_000, [5])]), bucket_seconds=60)
-        assert tl.points == ((1, 5),)
+        assert tl == ((1, 5),)
 
     def test_fixture_points(self, fixture_trace):
         tl = reuse_timeline(fixture_trace)
-        assert tl.points[:4] == ((0, 1), (0, 2), (0, 3), (0, 7))
-        assert tl.points[-2:] == ((1, 100), (1, 101))
-        assert len(tl.points) == 19
+        assert tl[:4] == ((0, 1), (0, 2), (0, 3), (0, 7))
+        assert tl[-2:] == ((1, 100), (1, 101))
+        assert len(tl) == 19
 
     def test_bad_bucket(self):
         with pytest.raises(ValueError):
@@ -330,5 +330,5 @@ class TestReuseTimeline:
 def test_analysis_is_deterministic(fixture_trace):
     a = nonseq_randomness_report(fixture_trace)
     b = nonseq_randomness_report(fixture_trace)
-    assert a.per_key == b.per_key and a.tested == b.tested and a.skipped == b.skipped
+    assert a.stats == b.stats and a.tested == b.tested and a.skipped == b.skipped
     assert hit_rate_cdf(fixture_trace) == hit_rate_cdf(fixture_trace)

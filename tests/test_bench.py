@@ -631,7 +631,8 @@ class TestNormalize:
         base = _stats_from({(10, POINT_GET): 0})
         rep = normalize(s, base)
         assert rep.rows[0].ratio is None
-        assert rep.undefined_cells == [(10, POINT_GET)]
+        undefined = [(r.interval_index, r.op_kind) for r in rep.rows if r.ratio is None]
+        assert undefined == [(10, POINT_GET)]
         assert rep.mean_ratio_per_kind == {}
 
 

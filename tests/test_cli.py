@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import kvcmeta
 from conftest import make_fixture_trace
 from kvcmeta import report
 from kvcmeta.cli import build_parser, main, make_backend, parse_cache_config
@@ -247,6 +248,25 @@ class TestReportCmd:
         assert rc == 0
         svg = _read(os.path.join(out, "hit_rate_cdf.svg"))
         assert svg.startswith("<svg")
+
+    @pytest.mark.parametrize("bad", ["0.5", "0.5,1.0,7"], ids=["short", "extra"])
+    def test_cdf_bad_row_names_file_and_line(self, tmp_path, capsys, bad):
+        only = str(tmp_path / "s.csv")
+        _write_stats_csv(only, {(10, "point_get"): 5})
+        cdf = tmp_path / "cdf.csv"
+        cdf.write_text(f"hit_rate,cum_fraction\n0.0,0.5\n{bad}\n1.0,1.0\n")
+        rc = main(["report", f"x={only}", "--out-dir", str(tmp_path / "rep"),
+                   "--cdf", str(cdf)])
+        assert rc == 1
+        assert f"error: {cdf}:3: " in capsys.readouterr().err
+
+    def test_manifest_records_the_package_version(self, tmp_path):
+        only = str(tmp_path / "s.csv")
+        _write_stats_csv(only, {(10, "point_get"): 5})
+        out = str(tmp_path / "rep")
+        assert main(["report", f"x={only}", "--out-dir", out]) == 0
+        manifest = json.loads(_read(os.path.join(out, "manifest.json")))
+        assert manifest["version"] == kvcmeta.__version__
 
 
 def _free_port() -> int:

@@ -104,12 +104,12 @@ def test_scan_max_results_edges(backend):
     rows = [(key(bid), bid) for bid in range(5)]
     for k, v in rows:
         backend.put(k, v)
-    for mx, n in ((None, 5), (0, 0), (1, 1), (5, 5), (6, 5)):
+    for mx, n in ((None, 5), (0, 0), (1, 1), (5, 5), (6, 5), (2**32, 5)):
         assert backend.scan(key(0), key(5), max_results=mx) == rows[:n], mx
     assert backend.scan(key(1), key(4), max_results=2) == rows[1:3]
     with pytest.raises(ValueError, match="max_results"):
         backend.scan(key(0), key(5), max_results=-1)
-    assert backend.stats().scans == 6  # the rejected scan is not counted
+    assert backend.stats().scans == 7  # the rejected scan is not counted
 
 
 def test_scan_bad_range_is_not_counted(backend):
@@ -129,6 +129,16 @@ def test_u64_boundaries(backend):
     assert backend.put(lo, U64_MAX) == 0  # an old value of 0 is not "absent"
     assert backend.put(hi, 0) == U64_MAX
     assert backend.scan(lo, key(0, NS2)) == [(lo, U64_MAX), (hi, 0)]
+
+
+@pytest.mark.parametrize("backend", ["remote", "external"], indirect=True)
+def test_value_outside_u64_is_rejected_and_not_counted(backend):
+    # The in-process store keeps any value it is given (README).
+    backend.put(key(1), 1)
+    for value in (-1, 2**64):
+        with pytest.raises(ValueError):
+            backend.put(key(2), value)
+    assert counters(backend) == (1, 0, 0, 0, 1)
 
 
 def test_counters(backend):
