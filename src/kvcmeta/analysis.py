@@ -38,16 +38,14 @@ class Run:
 class RunsTestStat:
     """Wald-Wolfowitz runs-test statistic under the normal approximation.
 
-    mean_runs = 1 + 2*n1*n2/(n1+n2)
-    var_runs  = 2*n1*n2*(2*n1*n2 - n1 - n2) / ((n1+n2)^2 * (n1+n2-1))
-    z = (runs - mean_runs) / sqrt(var_runs),  p = 2*(1 - Phi(|z|))
+    mean = 1 + 2*n1*n2/(n1+n2)
+    var  = 2*n1*n2*(2*n1*n2 - n1 - n2) / ((n1+n2)^2 * (n1+n2-1))
+    z = (runs - mean) / sqrt(var),  p = 2*(1 - Phi(|z|))
     """
 
     n1: int
     n2: int
     runs: int
-    mean_runs: float
-    var_runs: float
     z: float
     p_value: float
 
@@ -63,8 +61,11 @@ class RunsTestReport:
 
     mode: str
     stats: dict[int, RunsTestStat] = field(default_factory=dict)
-    tested: int = 0
     skipped: int = 0
+
+    @property
+    def tested(self) -> int:
+        return len(self.stats)
 
     @property
     def fraction_random(self) -> float | None:
@@ -164,6 +165,7 @@ def _phi(x: float) -> float:
 
 
 MIN_RUNS_TEST_LENGTH = 8
+MIN_OCCURRENCES = 8  # non-sequential accesses a key or request needs to be tested
 
 
 def runs_test(binary_seq) -> RunsTestStat:
@@ -190,7 +192,7 @@ def runs_test(binary_seq) -> RunsTestStat:
     var = (2.0 * n1 * n2 * (2.0 * n1 * n2 - n1 - n2)) / (n * n * (n - 1))
     z = (runs - mean) / math.sqrt(var)
     p = 2.0 * (1.0 - _phi(abs(z)))
-    return RunsTestStat(n1, n2, runs, mean, var, z, min(1.0, p))
+    return RunsTestStat(n1, n2, runs, z, min(1.0, p))
 
 
 def _dichotomize(values: list) -> list[int]:
@@ -203,17 +205,15 @@ def _nonsequential_ids(block_ids) -> list[int]:
     return [r.start_id for r in segment_runs(block_ids) if r.length == 1]
 
 
-def nonseq_randomness_report(
-    trace: Trace, min_occurrences: int = 8, mode: str = "per_key_gaps"
-) -> RunsTestReport:
+def nonseq_randomness_report(trace: Trace, mode: str = "per_key_gaps") -> RunsTestReport:
     """Runs-test randomness report over the trace's non-sequential accesses.
 
     Non-sequential accesses are the positions left as length-1 runs by
     segment_runs. Mode ``per_key_gaps`` (default) tests, for each block id
-    with at least ``min_occurrences`` such occurrences, the sequence of
+    with at least ``MIN_OCCURRENCES`` such occurrences, the sequence of
     inter-occurrence gaps (in request ordinal) dichotomized about its median.
     Mode ``per_request_median`` tests each request holding at least
-    ``min_occurrences`` non-sequential ids, dichotomizing the id sequence
+    ``MIN_OCCURRENCES`` non-sequential ids, dichotomizing the id sequence
     about the request's median id; keys of the report are request ordinals.
 
     Candidates whose dichotomized sequence is degenerate (after tie dropping)
@@ -230,7 +230,7 @@ def nonseq_randomness_report(
             for bid in _nonsequential_ids(req.block_ids):
                 occurrences.setdefault(bid, []).append(ordinal)
         for bid, ords in occurrences.items():
-            if len(ords) < min_occurrences:
+            if len(ords) < MIN_OCCURRENCES:
                 report.skipped += 1
                 continue
             gaps = [b - a for a, b in zip(ords, ords[1:])]
@@ -240,7 +240,7 @@ def nonseq_randomness_report(
             ids = _nonsequential_ids(req.block_ids)
             if not ids:
                 continue
-            if len(ids) < min_occurrences:
+            if len(ids) < MIN_OCCURRENCES:
                 report.skipped += 1
                 continue
             _apply_test(report, ordinal, _dichotomize(ids))
@@ -254,7 +254,6 @@ def _apply_test(report: RunsTestReport, key: int, cats: list[int]) -> None:
         report.skipped += 1
         return
     report.stats[key] = stat
-    report.tested += 1
 
 
 def reuse_timeline(trace: Trace, bucket_seconds: int = 60) -> tuple[tuple[int, int], ...]:

@@ -116,15 +116,14 @@ class LatencyLog:
 
     __slots__ = ("op_kinds", "issue_ms", "latency_ns", "outcomes", "max_sched_lag_ns", "errors")
 
-    def __init__(self, records: Iterable[LatencyRecord] = (), max_sched_lag_ns: int = 0,
-                 errors: int = 0):
+    def __init__(self, records: Iterable[LatencyRecord] = ()):
         records = list(records)
         self.op_kinds = [r.op_kind for r in records]
         self.issue_ms = array("q", [r.issue_ms for r in records])
         self.latency_ns = array("q", [r.latency_ns for r in records])
         self.outcomes = [r.outcome for r in records]
-        self.max_sched_lag_ns = max_sched_lag_ns
-        self.errors = errors
+        self.max_sched_lag_ns = 0
+        self.errors = 0
 
     @property
     def records(self) -> "_Records":
@@ -408,12 +407,11 @@ class IntervalRow(NamedTuple):
 
 @dataclass
 class IntervalStats:
-    """Per-interval, per-op-kind percentile rows (errors tallied apart)."""
+    """Per-interval, per-op-kind percentile rows, errors excluded."""
 
     interval_s: int
     warmup_s: int
     rows: list[IntervalRow] = field(default_factory=list)
-    error_counts: dict[tuple[int, str], int] = field(default_factory=dict)
 
     def cells(self) -> dict[tuple[int, str], IntervalRow]:
         return {(r.interval_index, r.op_kind): r for r in self.rows}
@@ -422,8 +420,7 @@ class IntervalStats:
 def interval_stats(log: LatencyLog, interval_s: int = 60, warmup_s: int = 600) -> IntervalStats:
     """Bucket post-warm-up records into half-open issue-time intervals and
     aggregate count/p50/p99 per (interval, op kind). Error records are
-    excluded from percentiles and counted separately. Empty intervals are
-    simply absent."""
+    skipped. Empty intervals are simply absent."""
     if interval_s <= 0:
         raise ValueError("interval_s must be positive")
     if warmup_s < 0:
@@ -433,13 +430,9 @@ def interval_stats(log: LatencyLog, interval_s: int = 60, warmup_s: int = 600) -
     samples: dict[tuple[int, str], list[int]] = {}
     stats = IntervalStats(interval_s, warmup_s)
     for kind, issued, latency, outcome in log.rows():
-        if issued < cutoff_ms:
+        if issued < cutoff_ms or outcome.startswith("error"):
             continue
-        cell = (issued // span_ms, kind)
-        if outcome.startswith("error"):
-            stats.error_counts[cell] = stats.error_counts.get(cell, 0) + 1
-            continue
-        samples.setdefault(cell, []).append(latency)
+        samples.setdefault((issued // span_ms, kind), []).append(latency)
     for (idx, kind) in sorted(samples):
         lat = samples[(idx, kind)]
         stats.rows.append(

@@ -344,6 +344,16 @@ def _interval(text: str) -> float:
     return seconds
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no less than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kvcmeta",
@@ -369,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-scale", type=float, default=1.0,
                    help="faithful schedule time multiplier (0.01 = 100x faster)")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--interval", type=int, default=60, help="stats interval seconds")
-    p.add_argument("--warmup", type=int, default=600, help="warm-up exclusion seconds")
+    p.add_argument("--interval", type=_int_at_least(1), default=60, help="stats interval seconds")
+    p.add_argument("--warmup", type=_int_at_least(0), default=600, help="warm-up exclusion seconds")
     p.add_argument("--chunk-split", type=int, default=1)
     p.add_argument("--key-scheme", choices=KEY_SCHEMES, default="ordered")
     p.add_argument("--namespace", default="")

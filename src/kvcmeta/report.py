@@ -133,12 +133,10 @@ class RunManifest:
     version: str = __version__
     aborted: bool = False
 
-    def write(self, out_dir: str, name: str = "manifest.json") -> str:
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
+    def write(self, out_dir: str, name: str = "manifest.json") -> None:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             json.dump(asdict(self), fh, indent=2)
             fh.write("\n")
-        return path
 
 
 def utc_now() -> str:
@@ -258,12 +256,12 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def svg_cdf_chart(points, title: str = "Block hit rate CDF") -> str:
+def svg_cdf_chart(points) -> str:
     """Step CDF over the hit-rate domain [0, 1]."""
     pts = [(0.0, 0.0)] + [(float(h), float(c)) for h, c in points]
     return svg_line_chart(
         [("cdf", pts)],
-        title,
+        "Block hit rate CDF",
         "hit rate",
         "cumulative fraction",
         x_domain=(0.0, 1.0),

@@ -363,13 +363,13 @@ class HybridMetaStore:
         self._keys: list[bytes] = []
         self._lock = threading.Lock()
         self._max_entries = max_entries
-        self.cache_config = cache if cache is not None else CacheConfig()
-        capacity = self.cache_config.capacity_entries
+        cache = cache if cache is not None else CacheConfig()
+        capacity = cache.capacity_entries
         self._cache: _LruTier | _PinTier | None = None
-        if capacity and self.cache_config.policy == "lru":
+        if capacity and cache.policy == "lru":
             self._cache = _LruTier(capacity)
         elif capacity:
-            self._cache = _PinTier(self.cache_config, clock)
+            self._cache = _PinTier(cache, clock)
         self._puts = 0
         self._gets = 0
         self._scans = 0

@@ -73,9 +73,6 @@ class SynthConfig:
         if s.min < 0 or s.min > s.max:
             raise ValueError("suffix_blocks requires 0 <= min <= max")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthConfig":
         try:
@@ -89,10 +86,6 @@ class SynthConfig:
             return cls(prefix_tree=tree, suffix_blocks=suffix, **rest)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid synth config: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "SynthConfig":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass
@@ -174,7 +167,7 @@ def generate(config: SynthConfig) -> Trace:
             )
         )
 
-    return Trace(tuple(requests), label=config.label, block_tokens=config.block_tokens)
+    return Trace(tuple(requests), label=config.label)
 
 
 def _weighted_child(rng: random.Random, children: list[_Node], total: int) -> _Node:

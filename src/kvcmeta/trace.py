@@ -29,10 +29,9 @@ _decode_prefix = json.JSONDecoder().raw_decode
 
 
 class TraceParseError(ValueError):
-    """A trace stream could not be parsed. ``line_no`` is 1-based when known."""
+    """A trace stream could not be parsed; the message names its 1-based line when known."""
 
     def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
@@ -57,15 +56,12 @@ class TraceRequest:
 class Trace:
     """An immutable, arrival-ordered request stream.
 
-    ``block_tokens`` is a pure annotation (tokens represented by one block);
-    it has no effect on how operations are compiled from the trace.
     ``out_of_order`` counts source records whose timestamp regressed relative
     to the previous record; it is diagnostic only and excluded from equality.
     """
 
     requests: tuple[TraceRequest, ...]
     label: str = ""
-    block_tokens: int = 512
     out_of_order: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
@@ -91,7 +87,7 @@ def _require_uint(record: dict, name: str, line_no: int) -> int:
     return value
 
 
-def parse_trace(data: bytes | str, label: str = "", block_tokens: int = 512) -> Trace:
+def parse_trace(data: bytes | str, label: str = "") -> Trace:
     """Parse newline-delimited JSON records into a Trace.
 
     Records are stably sorted by timestamp (so equal-timestamp requests keep
@@ -153,7 +149,7 @@ def parse_trace(data: bytes | str, label: str = "", block_tokens: int = 512) -> 
     rows.sort(key=lambda row: row[0])  # stable: ties keep source order
     base = rows[0][0]
     requests = tuple(TraceRequest(ts - base, inp, out, ids) for ts, inp, out, ids in rows)
-    return Trace(requests, label=label, block_tokens=block_tokens, out_of_order=out_of_order)
+    return Trace(requests, label=label, out_of_order=out_of_order)
 
 
 def serialize_trace(trace: Trace) -> bytes:
@@ -166,12 +162,12 @@ def serialize_trace(trace: Trace) -> bytes:
     ).encode("utf-8")
 
 
-def load_trace(path: str, block_tokens: int = 512) -> Trace:
+def load_trace(path: str) -> Trace:
     """Read a trace file (gzip when the name ends in .gz); label = file name."""
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "rb") as fh:
         data = fh.read()
-    return parse_trace(data, label=os.path.basename(path), block_tokens=block_tokens)
+    return parse_trace(data, label=os.path.basename(path))
 
 
 def save_trace(trace: Trace, path: str) -> None:

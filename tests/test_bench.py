@@ -551,7 +551,6 @@ class TestIntervalStats:
         stats = interval_stats(log)
         assert stats.rows[0].count == 2
         assert stats.rows[0].p99_ns == 20
-        assert stats.error_counts == {(10, POINT_GET): 1}
 
     def test_custom_interval_and_warmup(self):
         log = LatencyLog(records=[_rec(POINT_GET, 5_000, 7)])

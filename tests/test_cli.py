@@ -16,7 +16,7 @@ from conftest import make_fixture_trace
 from kvcmeta import report
 from kvcmeta.cli import build_parser, main, make_backend, parse_cache_config
 from kvcmeta.service import RemoteBackend
-from kvcmeta.store import CacheConfig, HybridMetaStore
+from kvcmeta.store import CacheConfig, HybridMetaStore, encode_key
 from kvcmeta.trace import save_trace
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -52,7 +52,9 @@ class TestParseHelpers:
     def test_make_backend_inproc(self):
         backend = make_backend("inproc:capacity=4")
         assert isinstance(backend, HybridMetaStore)
-        assert backend.cache_config.capacity_entries == 4
+        for bid in range(8):
+            backend.put(encode_key("", bid), bid)
+        assert backend.stats().cache_entries == 4
 
     def test_make_backend_unknown(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -269,6 +271,12 @@ class TestReportCmd:
         assert manifest["version"] == kvcmeta.__version__
 
 
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == kvcmeta.__version__
+
+
 def _free_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
@@ -466,6 +474,23 @@ def test_bench_rejects_an_unknown_choice(option, trace_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: kvcmeta bench ")
     assert f"argument {option}: invalid choice: 'bogus'" in err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--interval", "0", "must be at least 1"),
+    ("--interval", "-1", "must be at least 1"),
+    ("--warmup", "-1", "must be at least 0"),
+])
+def test_bench_rejects_a_bad_interval_or_warmup_before_compiling(
+        option, value, message, trace_file, tmp_path, capsys, monkeypatch):
+    from kvcmeta import bench
+    monkeypatch.setattr(bench, "compile_ops", lambda *args, **kwargs: pytest.fail("compiled"))
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", trace_file, "--out", str(out), option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: {message}, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_serve_imports_only_what_it_serves():

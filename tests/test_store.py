@@ -487,34 +487,6 @@ _timed_ops = st.lists(
 )
 
 
-@given(
-    _timed_ops,
-    st.sampled_from([(1, 0), (2, 1), (3, 1), (5, 2), (8, 4), (8, 0)]),  # 2 x pin <= capacity
-    st.sampled_from([0.5, 1.0, 600.0]),
-)
-@settings(max_examples=200, deadline=None)
-def test_lru_pin_matches_reference_hot_tier(ops, capacity_pin, halflife):
-    capacity, pin = capacity_pin
-    clock = _FakeClock()
-    store = HybridMetaStore(
-        cache=CacheConfig(capacity, "lru_pin", pin, hotness_halflife_s=halflife), clock=clock
-    )
-    model = ModelHotTier(capacity, pin, halflife, clock)
-    for op, ns, bid, quarters in ops:
-        clock.now += quarters * halflife / 4
-        key = encode_key(ns, bid)
-        if op == "put":
-            store.put(key, bid)
-        else:
-            getattr(store, op)(key)
-        getattr(model, op)(key)
-        stats = store.stats()
-        assert (stats.cache_hits, stats.cache_misses, stats.cache_entries) == (
-            model.hits, model.misses, len(model.entries)
-        )
-        assert len(store._cache._heap) + len(store._cache._fifo) <= 2 * stats.cache_entries + 64
-
-
 def _replay_against_model(ops, capacity, pin, halflife):
     clock = _FakeClock()
     store = HybridMetaStore(
@@ -534,6 +506,17 @@ def _replay_against_model(ops, capacity, pin, halflife):
             model.hits, model.misses, len(model.entries)
         )
         assert len(store._cache._heap) + len(store._cache._fifo) <= 2 * stats.cache_entries + 64
+
+
+@given(
+    _timed_ops,
+    st.sampled_from([(1, 0), (2, 1), (3, 1), (5, 2), (8, 4), (8, 0)]),  # 2 x pin <= capacity
+    st.sampled_from([0.5, 1.0, 600.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_lru_pin_matches_reference_hot_tier(ops, capacity_pin, halflife):
+    capacity, pin = capacity_pin
+    _replay_against_model(ops, capacity, pin, halflife)
 
 
 def _admission_runs(capacity, quarters):

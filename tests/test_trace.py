@@ -112,7 +112,7 @@ def test_serialize_is_deterministic_and_injective(fixture_trace):
 
 def test_round_trip_fixture(fixture_trace):
     data = serialize_trace(fixture_trace)
-    again = parse_trace(data, label=fixture_trace.label, block_tokens=fixture_trace.block_tokens)
+    again = parse_trace(data, label=fixture_trace.label)
     assert again == fixture_trace
 
 
@@ -193,7 +193,7 @@ def _reference_uint(record: dict, name: str, line_no: int) -> int:
     return value
 
 
-def _reference_parse_trace(data, label: str = "", block_tokens: int = 512) -> Trace:
+def _reference_parse_trace(data, label: str = "") -> Trace:
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     rows = []
     out_of_order = 0
@@ -235,7 +235,7 @@ def _reference_parse_trace(data, label: str = "", block_tokens: int = 512) -> Tr
     requests = tuple(
         TraceRequest(ts - base, r.input_len, r.output_len, r.block_ids) for ts, r in rows
     )
-    return Trace(requests, label=label, block_tokens=block_tokens, out_of_order=out_of_order)
+    return Trace(requests, label=label, out_of_order=out_of_order)
 
 
 def _reference_serialize_trace(trace: Trace) -> bytes:
@@ -287,8 +287,8 @@ def test_parse_matches_reference(records, as_bytes):
         lines.append(pad + _record_line(ts, inp, ids, extra) + pad)
     text = "\n".join(lines)
     data = text.encode("utf-8") if as_bytes else text
-    got = parse_trace(data, label="gen", block_tokens=64)
-    want = _reference_parse_trace(data, label="gen", block_tokens=64)
+    got = parse_trace(data, label="gen")
+    want = _reference_parse_trace(data, label="gen")
     assert got == want
     assert got.requests == want.requests
     assert got.out_of_order == want.out_of_order
@@ -321,14 +321,14 @@ def test_bad_block_id_error_matches_reference(good_lines, prefix, bad, suffix, e
     with pytest.raises(TraceParseError) as got:
         parse_trace(data)
     assert str(got.value) == str(want.value)
-    assert got.value.line_no == want.value.line_no == len(lines)
+    assert str(got.value).startswith(f"line {len(lines)}: ")
 
 
 def _outcome(parse, data):
     try:
         trace = parse(data)
     except TraceParseError as exc:
-        return ("error", str(exc), exc.line_no)
+        return ("error", str(exc))
     return ("trace", trace.requests, trace.out_of_order)
 
 
