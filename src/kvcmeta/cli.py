@@ -335,13 +335,14 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _interval(text: str) -> float:
-    """A positive wait in seconds that ``select.select`` accepts."""
-    seconds = float(text)
-    if not 0 < seconds <= threading.TIMEOUT_MAX:
-        raise argparse.ArgumentTypeError(f"must be positive and at most "
-                                         f"{threading.TIMEOUT_MAX:g}, got {text}")
-    return seconds
+def _positive_at_most(high: float):
+    """An argparse type: a float in (0, high]."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not 0 < value <= high:
+            raise argparse.ArgumentTypeError(f"must be positive and at most {high:g}, got {text}")
+        return value
+    return number
 
 
 def _int_at_least(low: int):
@@ -376,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inproc[:cache-config] | remote:host:port | external:host:port")
     p.add_argument("--mode", choices=MODES, default="preload")
     p.add_argument("--schedule", choices=SCHEDULES, default="closed_loop")
-    p.add_argument("--time-scale", type=float, default=1.0,
+    p.add_argument("--time-scale", type=_positive_at_most(sys.float_info.max), default=1.0,
                    help="faithful schedule time multiplier (0.01 = 100x faster)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--interval", type=_int_at_least(1), default=60, help="stats interval seconds")
     p.add_argument("--warmup", type=_int_at_least(0), default=600, help="warm-up exclusion seconds")
     p.add_argument("--chunk-split", type=int, default=1)
@@ -394,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", default="127.0.0.1:7440")
     p.add_argument("--cache", default="", help="cache config, e.g. policy=lru_pin,capacity=4096")
     p.add_argument("--max-entries", type=int, default=None)
-    p.add_argument("--stats-interval", type=_interval, default=60.0,
+    # a wait that select.select accepts
+    p.add_argument("--stats-interval", type=_positive_at_most(threading.TIMEOUT_MAX), default=60.0,
                    help="seconds between stats log lines")
     p.set_defaults(func=cmd_serve)
 

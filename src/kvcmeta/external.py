@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 
 from .service import parse_hostport
-from .store import BadRangeError, IndexStats
+from .store import IndexStats, check_scan
 
 
 class ExternalBackend:
@@ -59,10 +59,7 @@ class ExternalBackend:
     def scan(
         self, start: bytes, end_exclusive: bytes, max_results: int | None = None
     ) -> list[tuple[bytes, int]]:
-        if start >= end_exclusive:
-            raise BadRangeError("scan start must be < end_exclusive")
-        if max_results is not None and max_results < 0:
-            raise ValueError("max_results must be >= 0")
+        check_scan(start, end_exclusive, max_results)
         self._count(2)
         kwargs = {}
         if max_results is not None:

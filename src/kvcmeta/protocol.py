@@ -6,15 +6,18 @@ one response frame on the same connection, carrying the request's opcode; the
 first response payload byte is a status code. One ``FrameReader`` per end
 reads a connection, so a frame that arrives whole costs one ``recv``.
 
-``read_frame`` is the one place a client connection waits, and the server's
-loop reads through it too. While a connection that ``service`` counts is the
-only open one in its process, counting both ends, it polls with non-blocking
-``recv`` for ``POLL_S`` before it sleeps in one blocking ``recv``, since a
-metadata op's reply comes sooner than a sleeping thread wakes; on the
-server's non-blocking sockets that ``recv`` raises ``BlockingIOError`` and
-the loop selects instead. The cost is CPU, at most ``POLL_S`` per wait, so an
-idle connection costs almost nothing. Beside other connections a polling
-thread would keep the GIL from threads with work, so every wait sleeps at once.
+``read_frame`` is the one place a client connection waits, and the one way
+the server's loop takes a frame; ``frame_ready`` tells the loop whether a
+connection's buffer holds one. While ``service`` counts one open connection
+in the process, both ends, a wait polls with non-blocking ``recv`` for
+``POLL_S`` before it sleeps in one blocking ``recv``, since a metadata op's
+reply comes sooner than a sleeping thread wakes; on the server's non-blocking
+sockets that ``recv`` raises ``BlockingIOError`` and the loop selects
+instead. (On a socket with a CPython timeout, a non-blocking ``recv`` still
+waits in CPython's ``poll``, so it reads as a blocking one.) The cost is CPU,
+at most ``POLL_S`` per wait, so an idle connection costs almost nothing.
+Beside other connections a polling thread would keep the GIL from threads
+with work, so every wait sleeps at once.
 
 Messages are plain tuples. A request is (opcode, *fields) and a response is
 (opcode, status, result), where result is the return value of the
@@ -94,18 +97,12 @@ class ProtocolError(ValueError):
         self.opcode = opcode
 
 
-# Constructors of the message tuples; an error response's result is None.
+# Constructors of the message tuples that perfbench/micro.py calls; an error
+# response's result is None.
 
-def PutRequest(key, value): return (OP_PUT, key, value)
 def GetRequest(key): return (OP_GET, key)
-def ScanRequest(start, end_exclusive, max_results): return (OP_SCAN, start, end_exclusive, max_results)
-def DeleteRequest(key): return (OP_DELETE, key)
-def StatsRequest(): return (OP_STATS,)
-def PutResponse(status, old_value=None): return (OP_PUT, status, old_value)
 def GetResponse(status, value=None): return (OP_GET, status, value)
 def ScanResponse(status, entries=None): return (OP_SCAN, status, entries)
-def DeleteResponse(status, removed=None): return (OP_DELETE, status, removed)
-def StatsResponse(status, stats=None): return (OP_STATS, status, stats)
 
 
 def _check_key(key: bytes) -> None:
@@ -226,23 +223,18 @@ def count_connections(delta: int) -> None:
 
 
 class FrameReader(NamedTuple):
-    """A connection's socket and the bytes received past the last frame read.
-
-    ``polls`` marks a connection that ``service`` counts, on a socket without
-    a positive CPython timeout (with one, a non-blocking recv waits in ``poll``).
-    """
+    """A connection's socket and the bytes received past the last frame read."""
 
     sock: socket.socket
     buf: bytearray
-    polls: bool = False
 
 
 def _recv(reader: FrameReader) -> bytes:
-    """One recv's bytes; polls first while the reader's connection is the
-    process's only counted one. The socket's kernel timeout still bounds the
-    blocking recv, whose BlockingIOError the caller sees."""
+    """One recv's bytes; polls first while the process has one counted
+    connection. The socket's kernel timeout still bounds the blocking recv,
+    whose BlockingIOError the caller sees."""
     sock = reader.sock
-    if reader.polls and _open_connections == 1:
+    if _open_connections == 1:
         deadline = perf_counter() + POLL_S
         while True:
             try:
@@ -253,16 +245,13 @@ def _recv(reader: FrameReader) -> bytes:
     return sock.recv(_RECV_BYTES)
 
 
-def buffered_frame(buf: bytearray) -> tuple[int, bytes] | None:
-    """Take the whole frame at the head of buf out of it, or None if buf holds
-    no whole frame; ProtocolError carrying the opcode if it is oversized."""
-    if len(buf) >= _HEADER.size:
-        opcode, end = _frame_end(buf)
-        if len(buf) >= end:
-            payload = bytes(buf[_HEADER.size:end])
-            del buf[:end]
-            return opcode, payload
-    return None
+def frame_ready(buf: bytearray) -> bool:
+    """Whether ``read_frame`` answers from buf without a recv: buf holds a
+    whole frame, or a header whose length exceeds MAX_PAYLOAD."""
+    if len(buf) < _HEADER.size:
+        return False
+    length = _U32.unpack_from(buf)[0]
+    return length > MAX_PAYLOAD or len(buf) >= _HEADER.size + length
 
 
 def read_frame(reader: FrameReader) -> tuple[int, bytes] | None:
@@ -273,7 +262,7 @@ def read_frame(reader: FrameReader) -> tuple[int, bytes] | None:
     socket, BlockingIOError means no whole frame has arrived yet; the bytes
     received stay buffered for the next call."""
     buf = reader.buf
-    while (frame := buffered_frame(buf)) is None:
+    while not frame_ready(buf):
         chunk = _recv(reader)
         if not chunk:
             if buf:
@@ -284,7 +273,10 @@ def read_frame(reader: FrameReader) -> tuple[int, bytes] | None:
             if end == len(chunk):
                 return opcode, chunk[_HEADER.size:]
         buf += chunk
-    return frame
+    opcode, end = _frame_end(buf)
+    payload = bytes(buf[_HEADER.size:end])
+    del buf[:end]
+    return opcode, payload
 
 
 def encode_request(req: tuple) -> bytes:

@@ -11,9 +11,12 @@ different connections interleave arbitrarily. The remote client keeps one
 connection per calling thread, so concurrent workers never share a socket.
 Each end reads a connection through one ``protocol.FrameReader``, so a
 frame that arrives whole costs one ``recv``. The loop's sockets are
-non-blocking, and a turn on a connection answers the frames that one
-``recv`` brings; it reads on only while no other socket is ready, so no
-connection holds the loop while others wait or ``stop()`` does.
+non-blocking, and it takes every frame through ``protocol.read_frame``. A
+turn on a connection answers one frame; it reads on only while the
+connection is the only one and no other socket is ready. A connection left
+holding a whole frame, or a reply its socket refused, is watched for write,
+so the selector returns to it at once and connections interleave frame by
+frame: none holds the loop while others wait or ``stop()`` does.
 
 The module counts the process's open connections, both ends: a served one
 while the loop holds it, a client one from connect until dropped or closed.
@@ -36,7 +39,7 @@ from time import monotonic
 from typing import Protocol
 
 from . import protocol as wire
-from .store import BadRangeError, IndexStats
+from .store import BadRangeError, IndexStats, check_scan
 
 _UNLIMITED = 0xFFFFFFFF  # u32 max_results sentinel: effectively no truncation
 
@@ -118,21 +121,19 @@ class StoreServer:
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         wire.count_connections(1)
-        self._sel.register(sock, EVENT_READ, (wire.FrameReader(sock, bytearray(), True), b""))
+        self._sel.register(sock, EVENT_READ, (wire.FrameReader(sock, bytearray()), b""))
 
     def _serve(self, key: SelectorKey, alone: bool) -> None:
-        """Answer in order the frames buffered and those one recv brings; what a full socket
-        buffer refuses waits in the key. A further recv, which polls first like a client's,
-        needs ``alone`` (not draining, one counted connection) and no other socket ready."""
-        sock, (reader, out), received = key.fileobj, key.data, False
+        """Send what the socket refused last turn, or else answer one frame; what a full
+        socket buffer refuses waits in the key. The turn reads on, polling first like a
+        client, only while ``alone`` holds (not draining, one counted connection) and no
+        other socket is ready. A whole frame left buffered sets write interest."""
+        sock, (reader, out) = key.fileobj, key.data
         try:
-            while not out or not (out := out[sock.send(out):]):  # nothing left to send
-                if (frame := wire.buffered_frame(reader.buf)) is None:
-                    if received and not (alone and all(k is key for k, _ in self._sel.select(0))):
-                        break
-                    received = True
-                    if (frame := wire.read_frame(reader)) is None:
-                        return self._close(sock)
+            while not out or (not (out := out[sock.send(out):]) and alone
+                              and all(k is key for k, _ in self._sel.select(0))):
+                if (frame := wire.read_frame(reader)) is None:
+                    return self._close(sock)
                 out = self._respond(*frame)
         except BlockingIOError:
             pass  # recv would wait, or send found the buffer full
@@ -142,8 +143,9 @@ class StoreServer:
             return self._close(sock)
         except OSError:
             return self._close(sock)  # reset, or closed mid-frame
-        if out or key.events != EVENT_READ:
-            self._sel.modify(sock, EVENT_WRITE if out else EVENT_READ, (reader, out))
+        events = EVENT_WRITE if out or wire.frame_ready(reader.buf) else EVENT_READ
+        if EVENT_WRITE in (events, key.events):
+            self._sel.modify(sock, events, (reader, out))
 
     def _respond(self, opcode: int, payload: bytes) -> bytes:
         try:
@@ -228,7 +230,7 @@ class RemoteBackend:
         for opt in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
             sock.setsockopt(socket.SOL_SOCKET, opt, self._timeval)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        reader = wire.FrameReader(sock, bytearray(), True)
+        reader = wire.FrameReader(sock, bytearray())
         with self._conns_lock:
             self._conns.add(sock)
             wire.count_connections(1)
@@ -275,11 +277,8 @@ class RemoteBackend:
     def scan(
         self, start: bytes, end_exclusive: bytes, max_results: int | None = None
     ) -> list[tuple[bytes, int]]:
-        if start >= end_exclusive:
-            raise BadRangeError("scan start must be < end_exclusive")
+        check_scan(start, end_exclusive, max_results)
         mx = _UNLIMITED if max_results is None or max_results > _UNLIMITED else max_results
-        if mx < 0:
-            raise ValueError("max_results must be >= 0")
         return list(self._call(wire.OP_SCAN, start, end_exclusive, mx))
 
     def delete(self, key: bytes) -> bool:

@@ -62,6 +62,14 @@ class BadRangeError(ValueError):
     """scan() called with start >= end_exclusive."""
 
 
+def check_scan(start: bytes, end_exclusive: bytes, max_results: int | None) -> None:
+    """The scan arguments every backend rejects before it counts the scan."""
+    if start >= end_exclusive:
+        raise BadRangeError("scan start must be < end_exclusive")
+    if max_results is not None and max_results < 0:
+        raise ValueError("max_results must be >= 0")
+
+
 class StoreCapacityError(RuntimeError):
     """Insert rejected: the configured entry bound is exhausted."""
 
@@ -428,10 +436,7 @@ class HybridMetaStore:
     ) -> list[tuple[bytes, int]]:
         """Present entries with start <= key < end_exclusive, in key order,
         truncated to max_results (None = unlimited)."""
-        if start >= end_exclusive:
-            raise BadRangeError("scan start must be < end_exclusive")
-        if max_results is not None and max_results < 0:
-            raise ValueError("max_results must be >= 0")
+        check_scan(start, end_exclusive, max_results)
         lock = self._lock
         lock.acquire()
         try:

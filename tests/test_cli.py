@@ -480,6 +480,9 @@ def test_bench_rejects_an_unknown_choice(option, trace_file, tmp_path, capsys):
     ("--interval", "0", "must be at least 1"),
     ("--interval", "-1", "must be at least 1"),
     ("--warmup", "-1", "must be at least 0"),
+    ("--workers", "0", "must be at least 1"),
+    ("--time-scale", "0", "must be positive and at most 1.79769e+308"),
+    ("--time-scale", "inf", "must be positive and at most 1.79769e+308"),
 ])
 def test_bench_rejects_a_bad_interval_or_warmup_before_compiling(
         option, value, message, trace_file, tmp_path, capsys, monkeypatch):

@@ -136,9 +136,8 @@ class TestFrameReader:
 
 
 class TestPolling:
-    """A counted reader polls with MSG_DONTWAIT for POLL_S while its
-    connection is the process's only counted one, then sleeps in one
-    blocking recv."""
+    """A reader polls with MSG_DONTWAIT for POLL_S while the process has one
+    counted connection, then sleeps in one blocking recv."""
 
     FRAME = wire.encode_frame(wire.OP_GET, b"payload")
     DONTWAIT = socket.MSG_DONTWAIT
@@ -150,7 +149,7 @@ class TestPolling:
     def test_frame_after_k_empty_polls_needs_no_blocking_recv(self, monkeypatch):
         monkeypatch.setattr(wire, "perf_counter", lambda: 0.0)  # the budget never runs out
         sock = ScriptedSocket(self.FRAME, empty_polls=5)
-        assert wire.read_frame(wire.FrameReader(sock, bytearray(), True)) == (
+        assert wire.read_frame(wire.FrameReader(sock, bytearray())) == (
             wire.OP_GET, b"payload")
         assert sock.flags == [self.DONTWAIT] * 6
 
@@ -158,24 +157,22 @@ class TestPolling:
         monkeypatch.setattr(wire, "POLL_S", 50e-6)
         monkeypatch.setattr(wire, "perf_counter", itertools.count(0.0, 20e-6).__next__)
         sock = ScriptedSocket(self.FRAME, empty_polls=10**6)
-        assert wire.read_frame(wire.FrameReader(sock, bytearray(), True)) == (
+        assert wire.read_frame(wire.FrameReader(sock, bytearray())) == (
             wire.OP_GET, b"payload")
         # clock reads: deadline 50 us; misses seen at 20, 40 and 60 us
         assert sock.flags == [self.DONTWAIT] * 3 + [0]
 
     def test_eof_while_polling_is_none(self):
         sock = ScriptedSocket(empty_polls=2)
-        assert wire.read_frame(wire.FrameReader(sock, bytearray(), True)) is None
+        assert wire.read_frame(wire.FrameReader(sock, bytearray())) is None
         assert sock.flags == [self.DONTWAIT] * 3
 
-    @pytest.mark.parametrize("polls, open_connections", [(True, 2), (False, 1)])
-    def test_no_polling_beside_another_connection_or_when_not_counted(
-            self, monkeypatch, polls, open_connections):
-        monkeypatch.setattr(wire, "_open_connections", open_connections)
+    def test_no_polling_beside_another_connection(self, monkeypatch):
+        monkeypatch.setattr(wire, "_open_connections", 2)
         sock = ScriptedSocket(self.FRAME[:3], self.FRAME[3:], empty_polls=5)
-        assert wire.read_frame(wire.FrameReader(sock, bytearray(), polls)) == (
+        assert wire.read_frame(wire.FrameReader(sock, bytearray())) == (
             wire.OP_GET, b"payload")
-        assert wire.read_frame(wire.FrameReader(sock, bytearray(), polls)) is None
+        assert wire.read_frame(wire.FrameReader(sock, bytearray())) is None
         assert sock.flags == [0, 0, 0]
 
 
@@ -183,7 +180,7 @@ class TestRequestGoldenBytes:
     """Pin the wire format byte-for-byte so other implementations can match."""
 
     def test_put(self):
-        frame = wire.encode_request(wire.PutRequest(KEY, 0x1122334455667788))
+        frame = wire.encode_request((wire.OP_PUT, KEY, 0x1122334455667788))
         assert frame[:5] == b"\x00\x00\x00\x28\x01"  # 40-byte payload, opcode 1
         assert frame[5:37] == KEY
         assert frame[37:] == bytes.fromhex("1122334455667788")
@@ -193,18 +190,18 @@ class TestRequestGoldenBytes:
         assert frame == b"\x00\x00\x00\x20\x02" + KEY
 
     def test_scan(self):
-        frame = wire.encode_request(wire.ScanRequest(KEY, KEY2, 300))
+        frame = wire.encode_request((wire.OP_SCAN, KEY, KEY2, 300))
         assert frame[:5] == b"\x00\x00\x00\x44\x03"  # 68-byte payload, opcode 3
         assert frame[5:37] == KEY
         assert frame[37:69] == KEY2
         assert frame[69:] == (300).to_bytes(4, "big")
 
     def test_delete(self):
-        frame = wire.encode_request(wire.DeleteRequest(KEY))
+        frame = wire.encode_request((wire.OP_DELETE, KEY))
         assert frame == b"\x00\x00\x00\x20\x04" + KEY
 
     def test_stats(self):
-        assert wire.encode_request(wire.StatsRequest()) == b"\x00\x00\x00\x00\x05"
+        assert wire.encode_request((wire.OP_STATS,)) == b"\x00\x00\x00\x00\x05"
 
 
 class TestResponseGoldenBytes:
@@ -216,11 +213,11 @@ class TestResponseGoldenBytes:
         assert wire.encode_response(wire.GetResponse(wire.ST_NOT_FOUND)) == b"\x01"
 
     def test_put_with_previous(self):
-        payload = wire.encode_response(wire.PutResponse(wire.ST_OK, 9))
+        payload = wire.encode_response((wire.OP_PUT, wire.ST_OK, 9))
         assert payload == b"\x00\x01" + (9).to_bytes(8, "big")
 
     def test_put_without_previous(self):
-        assert wire.encode_response(wire.PutResponse(wire.ST_OK)) == b"\x00\x00"
+        assert wire.encode_response((wire.OP_PUT, wire.ST_OK, None)) == b"\x00\x00"
 
     def test_scan_two_entries(self):
         payload = wire.encode_response(
@@ -234,12 +231,12 @@ class TestResponseGoldenBytes:
         assert len(payload) == 1 + 4 + 2 * 40
 
     def test_delete(self):
-        assert wire.encode_response(wire.DeleteResponse(wire.ST_OK, True)) == b"\x00\x01"
-        assert wire.encode_response(wire.DeleteResponse(wire.ST_OK, False)) == b"\x00\x00"
+        assert wire.encode_response((wire.OP_DELETE, wire.ST_OK, True)) == b"\x00\x01"
+        assert wire.encode_response((wire.OP_DELETE, wire.ST_OK, False)) == b"\x00\x00"
 
     def test_stats_is_8_u64(self):
         stats = IndexStats(1, 2, 3, 4, 5, 6, 7, 8)
-        payload = wire.encode_response(wire.StatsResponse(wire.ST_OK, stats))
+        payload = wire.encode_response((wire.OP_STATS, wire.ST_OK, stats))
         assert len(payload) == 1 + 64
         assert payload[1:] == b"".join(i.to_bytes(8, "big") for i in range(1, 9))
 
@@ -254,11 +251,11 @@ _values = st.integers(min_value=0, max_value=2**64 - 1)
 _u32 = st.integers(min_value=0, max_value=2**32 - 1)
 
 _requests = st.one_of(
-    st.builds(wire.PutRequest, _keys, _values),
+    st.tuples(st.just(wire.OP_PUT), _keys, _values),
     st.builds(wire.GetRequest, _keys),
-    st.builds(wire.ScanRequest, _keys, _keys, _u32),
-    st.builds(wire.DeleteRequest, _keys),
-    st.builds(wire.StatsRequest),
+    st.tuples(st.just(wire.OP_SCAN), _keys, _keys, _u32),
+    st.tuples(st.just(wire.OP_DELETE), _keys),
+    st.just((wire.OP_STATS,)),
 )
 
 _stats = st.builds(
@@ -266,7 +263,7 @@ _stats = st.builds(
 )
 
 _responses = st.one_of(
-    st.builds(wire.PutResponse, st.just(wire.ST_OK), st.none() | _values),
+    st.tuples(st.just(wire.OP_PUT), st.just(wire.ST_OK), st.none() | _values),
     st.builds(wire.GetResponse, st.just(wire.ST_OK), _values),
     st.builds(wire.GetResponse, st.just(wire.ST_NOT_FOUND)),
     st.builds(
@@ -274,8 +271,8 @@ _responses = st.one_of(
         st.just(wire.ST_OK),
         st.lists(st.tuples(_keys, _values), max_size=5).map(tuple),
     ),
-    st.builds(wire.DeleteResponse, st.just(wire.ST_OK), st.booleans()),
-    st.builds(wire.StatsResponse, st.just(wire.ST_OK), _stats),
+    st.tuples(st.just(wire.OP_DELETE), st.just(wire.ST_OK), st.booleans()),
+    st.tuples(st.just(wire.OP_STATS), st.just(wire.ST_OK), _stats),
     st.builds(wire.GetResponse, st.sampled_from([wire.ST_BAD_REQUEST, wire.ST_INTERNAL])),
     st.builds(wire.ScanResponse, st.sampled_from([wire.ST_BAD_REQUEST, wire.ST_INTERNAL])),
 )
@@ -298,21 +295,21 @@ def random_request(rng: random.Random) -> tuple:
     kind = rng.randrange(5)
     key = rng.randbytes(32)
     if kind == 0:
-        return wire.PutRequest(key, rng.getrandbits(64))
+        return (wire.OP_PUT, key, rng.getrandbits(64))
     if kind == 1:
         return wire.GetRequest(key)
     if kind == 2:
-        return wire.ScanRequest(key, rng.randbytes(32), rng.getrandbits(32))
+        return (wire.OP_SCAN, key, rng.randbytes(32), rng.getrandbits(32))
     if kind == 3:
-        return wire.DeleteRequest(key)
-    return wire.StatsRequest()
+        return (wire.OP_DELETE, key)
+    return (wire.OP_STATS,)
 
 
 def random_response(rng: random.Random) -> tuple[int, tuple]:
     kind = rng.randrange(6)
     if kind == 0:
         old = rng.getrandbits(64) if rng.random() < 0.5 else None
-        return wire.OP_PUT, wire.PutResponse(wire.ST_OK, old)
+        return wire.OP_PUT, (wire.OP_PUT, wire.ST_OK, old)
     if kind == 1:
         return wire.OP_GET, wire.GetResponse(wire.ST_OK, rng.getrandbits(64))
     if kind == 2:
@@ -323,9 +320,9 @@ def random_response(rng: random.Random) -> tuple[int, tuple]:
         )
         return wire.OP_SCAN, wire.ScanResponse(wire.ST_OK, entries)
     if kind == 4:
-        return wire.OP_DELETE, wire.DeleteResponse(wire.ST_OK, rng.random() < 0.5)
+        return wire.OP_DELETE, (wire.OP_DELETE, wire.ST_OK, rng.random() < 0.5)
     stats = IndexStats(*(rng.getrandbits(64) for _ in range(8)))
-    return wire.OP_STATS, wire.StatsResponse(wire.ST_OK, stats)
+    return wire.OP_STATS, (wire.OP_STATS, wire.ST_OK, stats)
 
 
 def test_bulk_random_round_trip():
@@ -345,9 +342,9 @@ def test_unknown_opcode_rejected():
 
 def test_request_field_out_of_range_is_protocol_error_with_its_opcode():
     cases = [
-        (wire.PutRequest(KEY, 2**64), "PUT"),
-        (wire.PutRequest(KEY, -1), "PUT"),
-        (wire.ScanRequest(KEY, KEY2, 2**32), "SCAN"),
+        ((wire.OP_PUT, KEY, 2**64), "PUT"),
+        ((wire.OP_PUT, KEY, -1), "PUT"),
+        ((wire.OP_SCAN, KEY, KEY2, 2**32), "SCAN"),
     ]
     for req, name in cases:
         with pytest.raises(wire.ProtocolError, match=f"^cannot encode {name} request") as raised:
@@ -383,10 +380,10 @@ def test_not_found_is_get_only():
     """A body that is well formed under OK is malformed under NOT_FOUND on
     every opcode but GET, in both directions."""
     cases = [
-        (wire.OP_PUT, b"\x00", wire.PutResponse(wire.ST_NOT_FOUND)),
+        (wire.OP_PUT, b"\x00", (wire.OP_PUT, wire.ST_NOT_FOUND, None)),
         (wire.OP_SCAN, b"\x00\x00\x00\x00", wire.ScanResponse(wire.ST_NOT_FOUND)),
-        (wire.OP_DELETE, b"\x01", wire.DeleteResponse(wire.ST_NOT_FOUND, True)),
-        (wire.OP_STATS, bytes(64), wire.StatsResponse(wire.ST_NOT_FOUND, IndexStats())),
+        (wire.OP_DELETE, b"\x01", (wire.OP_DELETE, wire.ST_NOT_FOUND, True)),
+        (wire.OP_STATS, bytes(64), (wire.OP_STATS, wire.ST_NOT_FOUND, IndexStats())),
     ]
     for opcode, body, resp in cases:
         assert wire.decode_response(opcode, b"\x00" + body)[0] == resp[0]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -106,7 +107,7 @@ def test_malformed_payload_bad_request_and_connection_survives(server):
         sock.sendall(wire.encode_frame(wire.OP_GET, b"short"))
         _, payload = wire.read_frame(reader)
         assert payload == bytes([wire.ST_BAD_REQUEST])
-        sock.sendall(wire.encode_request(wire.StatsRequest()))
+        sock.sendall(wire.encode_request((wire.OP_STATS,)))
         opcode, payload = wire.read_frame(reader)
         assert opcode == wire.OP_STATS
         assert payload[0] == wire.ST_OK
@@ -118,7 +119,7 @@ def test_scan_with_empty_range_bad_request_and_connection_survives(server):
     with socket.create_connection(handle.address, timeout=2.0) as sock:
         reader = wire.FrameReader(sock, bytearray())
         for end in (key, encode_key(NS, 4)):  # start == end, start > end
-            sock.sendall(wire.encode_request(wire.ScanRequest(key, end, 10)))
+            sock.sendall(wire.encode_request((wire.OP_SCAN, key, end, 10)))
             assert wire.read_frame(reader) == (wire.OP_SCAN, bytes([wire.ST_BAD_REQUEST]))
         sock.sendall(wire.encode_request(wire.GetRequest(key)))
         assert wire.read_frame(reader) == (wire.OP_GET, bytes([wire.ST_NOT_FOUND]))
@@ -312,7 +313,7 @@ def test_stop_cuts_off_a_peer_that_does_not_read_its_replies(monkeypatch):
     for bid in range(1_000):
         store.put(encode_key(NS, bid), bid)
     handle = serve(("127.0.0.1", 0), store)
-    scan = wire.ScanRequest(encode_key(NS, 0), encode_key(NS, 1_000), 1_000)
+    scan = (wire.OP_SCAN, encode_key(NS, 0), encode_key(NS, 1_000), 1_000)
     with socket.create_connection(handle.address, timeout=5.0) as sock:
         # 400 replies of 40 kB outgrow the socket buffers: the handler blocks sending.
         sock.sendall(wire.encode_request(scan) * 400)
@@ -331,7 +332,7 @@ def test_a_peer_that_does_not_read_delays_no_other_connection(server):
     handle, store = server
     for bid in range(1_000):
         store.put(encode_key(NS, bid), bid)
-    scan = wire.ScanRequest(encode_key(NS, 0), encode_key(NS, 1_000), 1_000)
+    scan = (wire.OP_SCAN, encode_key(NS, 0), encode_key(NS, 1_000), 1_000)
     with socket.create_connection(handle.address, timeout=5.0) as stalled:
         stalled.sendall(wire.encode_request(scan) * 400)  # 16 MB of replies, never read
         time.sleep(0.5)
@@ -339,6 +340,121 @@ def test_a_peer_that_does_not_read_delays_no_other_connection(server):
             started = time.monotonic()
             assert other.get(encode_key(NS, 1)) == 1
             assert time.monotonic() - started < 1.0
+
+
+# A peer with two connections: it pipelines a burst on one and reads every
+# reply; 2 ms later it sends one frame on the other, and prints how long that
+# frame's reply took and the reply itself, in hex. One thread selects over both.
+_PIPELINING_PEER = """if True:
+    import selectors, socket, sys, time
+    host, port, burst_hex, frame_hex, left, reply_size = sys.argv[1:]
+    left, reply_size = int(left), int(reply_size)
+    burst_conn = socket.create_connection((host, int(port)))
+    frame_conn = socket.create_connection((host, int(port)))
+    burst_conn.sendall(bytes.fromhex(burst_hex))
+    time.sleep(0.002)
+    started = time.perf_counter()
+    frame_conn.sendall(bytes.fromhex(frame_hex))
+    sel = selectors.DefaultSelector()
+    sel.register(burst_conn, selectors.EVENT_READ)
+    sel.register(frame_conn, selectors.EVENT_READ)
+    reply = b""
+    while left or len(reply) < reply_size:
+        for key, _ in sel.select():
+            chunk = key.fileobj.recv(1 << 20)
+            if not chunk:
+                sys.exit("closed with replies unread")
+            if key.fileobj is burst_conn:
+                left -= len(chunk)
+            else:
+                reply += chunk
+                if len(reply) == reply_size:
+                    waited = time.perf_counter() - started
+    print(waited, reply.hex())
+"""
+
+
+def test_a_pipelining_peer_delays_no_other_connection(server):
+    """A turn answers one frame, so a get on a second connection waits for a few
+    frames of a peer that pipelines 400 scans of 40 kB, not for the burst. The
+    peer, both connections and the timing live in a child process, off the
+    GIL of the server's thread."""
+    handle, store = server
+    for bid in range(1_000):
+        store.put(encode_key(NS, bid), bid)
+    scan = wire.encode_request((wire.OP_SCAN, encode_key(NS, 0), encode_key(NS, 1_000), 1_000))
+    get = wire.encode_request(wire.GetRequest(encode_key(NS, 1)))
+    reply = wire.encode_frame(wire.OP_GET, wire.encode_response(wire.GetResponse(wire.ST_OK, 1)))
+    host, port = handle.address
+    peer = subprocess.run(
+        [sys.executable, "-c", _PIPELINING_PEER, host, str(port), (scan * 400).hex(), get.hex(),
+         str(400 * (5 + 1 + 4 + 1_000 * 40)), str(len(reply))],
+        capture_output=True, text=True, timeout=60)
+    assert peer.returncode == 0, peer.stderr
+    waited, reply_hex = peer.stdout.split()
+    assert bytes.fromhex(reply_hex) == reply
+    assert float(waited) < 0.005, f"the get took {float(waited) * 1e3:.1f} ms"
+
+
+def test_half_a_frame_costs_the_loop_no_cpu(server):
+    """A connection holding half a frame is watched for read: write interest on a
+    buffer without a whole frame would spin the loop."""
+    handle, _ = server
+    frame = wire.encode_request(wire.GetRequest(encode_key(NS, 1)))
+    with socket.create_connection(handle.address, timeout=5.0) as sock:
+        sock.sendall(frame[:20])
+        time.sleep(0.1)  # the loop has taken the bytes
+        started = time.process_time()
+        time.sleep(0.5)
+        assert time.process_time() - started < 0.1
+        sock.sendall(frame[20:])
+        assert wire.read_frame(wire.FrameReader(sock, bytearray())) == (
+            wire.OP_GET, bytes([wire.ST_NOT_FOUND]))
+
+
+def test_an_oversized_header_behind_a_frame_gets_its_reply_then_bad_request(server):
+    """Beside another connection a turn answers one frame; the oversized header
+    left buffered behind it still wakes the loop, which refuses it and hangs up."""
+    handle, _ = server
+    with connect(handle.address) as other:
+        other.stats()  # a second counted connection: the loop is not alone
+        with socket.create_connection(handle.address, timeout=5.0) as sock:
+            reader = wire.FrameReader(sock, bytearray())
+            sock.sendall(wire.encode_request(wire.GetRequest(encode_key(NS, 1)))
+                         + (wire.MAX_PAYLOAD + 1).to_bytes(4, "big") + bytes([wire.OP_SCAN]))
+            assert wire.read_frame(reader) == (wire.OP_GET, bytes([wire.ST_NOT_FOUND]))
+            assert wire.read_frame(reader) == (wire.OP_SCAN, bytes([wire.ST_BAD_REQUEST]))
+            assert wire.read_frame(reader) is None
+
+
+def test_stop_answers_the_frames_a_connection_has_buffered_in_order():
+    entered, release = threading.Event(), threading.Event()
+
+    class SlowStore(HybridMetaStore):
+        def get(self, key):
+            entered.set()
+            release.wait(5.0)
+            return super().get(key)
+
+    store = SlowStore()
+    for bid in range(5):
+        store.put(encode_key(NS, bid), bid)
+    handle = serve(("127.0.0.1", 0), store)
+    with socket.create_connection(handle.address, timeout=5.0) as sock:
+        sock.sendall(b"".join(wire.encode_request(wire.GetRequest(encode_key(NS, bid)))
+                              for bid in range(5)))
+        assert entered.wait(5.0)  # the loop is inside the first get, four are buffered
+        stopper = threading.Thread(target=handle.stop)
+        stopper.start()
+        time.sleep(0.2)  # the wake byte is written
+        release.set()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
+        reader = wire.FrameReader(sock, bytearray())
+        for bid in range(5):
+            assert wire.decode_response(*wire.read_frame(reader)) == wire.GetResponse(
+                wire.ST_OK, bid)
+        assert wire.read_frame(reader) is None
 
 
 def test_one_thread_serves_every_connection(server):
@@ -548,11 +664,11 @@ def test_per_connection_response_order(server):
     with socket.create_connection(handle.address, timeout=2.0) as sock:
         batch = b""
         for bid in range(10):
-            batch += wire.encode_request(wire.PutRequest(encode_key(NS, bid), bid))
+            batch += wire.encode_request((wire.OP_PUT, encode_key(NS, bid), bid))
         sock.sendall(batch)
         reader = wire.FrameReader(sock, bytearray())
         for bid in range(10):
             opcode, payload = wire.read_frame(reader)
             assert opcode == wire.OP_PUT
             resp = wire.decode_response(opcode, payload)
-            assert resp == wire.PutResponse(wire.ST_OK)  # fresh inserts, ordered
+            assert resp == (wire.OP_PUT, wire.ST_OK, None)  # fresh inserts, ordered
