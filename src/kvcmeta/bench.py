@@ -407,10 +407,12 @@ class IntervalRow(NamedTuple):
 
 @dataclass
 class IntervalStats:
-    """Per-interval, per-op-kind percentile rows, errors excluded."""
+    """Per-interval, per-op-kind percentile rows, errors excluded. An
+    interval_stats.csv records neither the interval nor the warm-up, so both
+    are None in stats loaded from one."""
 
-    interval_s: int
-    warmup_s: int
+    interval_s: int | None
+    warmup_s: int | None
     rows: list[IntervalRow] = field(default_factory=list)
 
     def cells(self) -> dict[tuple[int, str], IntervalRow]:

@@ -345,6 +345,14 @@ def _positive_at_most(high: float):
     return number
 
 
+def _finite_nonnegative(text: str) -> float:
+    """An argparse type: a finite float no less than 0 (NaN fails the comparison)."""
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
 def _int_at_least(low: int):
     """An argparse type: an integer no less than ``low``."""
     def integer(text: str) -> int:
@@ -382,11 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--interval", type=_int_at_least(1), default=60, help="stats interval seconds")
     p.add_argument("--warmup", type=_int_at_least(0), default=600, help="warm-up exclusion seconds")
-    p.add_argument("--chunk-split", type=int, default=1)
+    p.add_argument("--chunk-split", type=_int_at_least(1), default=1)
     p.add_argument("--key-scheme", choices=KEY_SCHEMES, default="ordered")
     p.add_argument("--namespace", default="")
-    p.add_argument("--abort-error-rate", type=float, default=0.01)
-    p.add_argument("--timeout", type=float, default=1.0,
+    p.add_argument("--abort-error-rate", type=_finite_nonnegative, default=0.01)
+    p.add_argument("--timeout", type=_positive_at_most(threading.TIMEOUT_MAX), default=1.0,
                    help="remote timeout seconds: bounds the connect and each send and "
                    "each recv, not a whole op")
     p.set_defaults(func=cmd_bench)
@@ -394,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="serve the in-process store over TCP", **fmt)
     p.add_argument("--listen", default="127.0.0.1:7440")
     p.add_argument("--cache", default="", help="cache config, e.g. policy=lru_pin,capacity=4096")
-    p.add_argument("--max-entries", type=int, default=None)
+    p.add_argument("--max-entries", type=_int_at_least(1), default=None)
     # a wait that select.select accepts
     p.add_argument("--stats-interval", type=_positive_at_most(threading.TIMEOUT_MAX), default=60.0,
                    help="seconds between stats log lines")

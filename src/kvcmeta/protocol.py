@@ -23,7 +23,7 @@ Messages are plain tuples. A request is (opcode, *fields) and a response is
 (opcode, status, result), where result is the return value of the
 ``Backend`` method the request names. One row of ``_OPS`` defines an opcode:
 its request layout, that method, the status of a ``None`` return value, and
-the codec of the response body.
+the codec of the response body. ``respond``, the server's dispatch, reads it.
 
 Request payloads (all integers big-endian, keys fixed 32 bytes, values u64):
 
@@ -55,7 +55,7 @@ import threading
 from time import perf_counter
 from typing import Any, Callable, NamedTuple
 
-from .store import IndexStats, KEY_BYTES
+from .store import BadRangeError, IndexStats, KEY_BYTES
 
 MAX_PAYLOAD = 16 * 1024 * 1024
 
@@ -202,14 +202,6 @@ def encode_frame(opcode: int, payload: bytes) -> bytes:
     return _HEADER.pack(len(payload), opcode) + payload
 
 
-def _frame_end(buf: bytes) -> tuple[int, int]:
-    """(opcode, end) of the frame at the head of buf; ProtocolError(opcode) if oversized."""
-    length, opcode = _HEADER.unpack_from(buf)
-    if length > MAX_PAYLOAD:
-        raise ProtocolError(f"frame length {length} exceeds {MAX_PAYLOAD}", opcode)
-    return opcode, _HEADER.size + length
-
-
 # Connections ``service`` counts that are open in this process, both ends.
 _open_connections = 0
 _open_lock = threading.Lock()
@@ -269,11 +261,14 @@ def read_frame(reader: FrameReader) -> tuple[int, bytes] | None:
                 raise ConnectionError("connection closed mid-frame")
             return None
         if not buf and len(chunk) >= _HEADER.size:  # the common case: one whole frame
-            opcode, end = _frame_end(chunk)
-            if end == len(chunk):
+            length, opcode = _HEADER.unpack_from(chunk)  # an oversized one is never whole
+            if _HEADER.size + length == len(chunk):
                 return opcode, chunk[_HEADER.size:]
         buf += chunk
-    opcode, end = _frame_end(buf)
+    length, opcode = _HEADER.unpack_from(buf)
+    if length > MAX_PAYLOAD:
+        raise ProtocolError(f"frame length {length} exceeds {MAX_PAYLOAD}", opcode)
+    end = _HEADER.size + length
     payload = bytes(buf[_HEADER.size:end])
     del buf[:end]
     return opcode, payload
@@ -341,3 +336,22 @@ def decode_response(opcode: int, payload: bytes) -> tuple:
 def error_response_frame(opcode: int, status: int) -> bytes:
     """A bare-status response frame, echoing the (possibly unknown) opcode."""
     return encode_frame(opcode, _STATUS[status])
+
+
+def respond(backend, opcode: int, payload: bytes) -> bytes:
+    """The response frame to one request frame, by the opcode's ``_OPS`` row. A
+    request that does not decode and a ``BadRangeError`` get a bare BAD_REQUEST,
+    any other exception a bare INTERNAL."""
+    try:
+        req = decode_request(opcode, payload)
+    except ProtocolError:
+        return error_response_frame(opcode, ST_BAD_REQUEST)
+    op = _OPS[opcode]
+    try:
+        result = getattr(backend, op.method)(*req[1:])
+        return encode_frame(opcode, encode_response(
+            (opcode, op.absent if result is None else ST_OK, result)))
+    except BadRangeError:
+        return error_response_frame(opcode, ST_BAD_REQUEST)
+    except Exception:
+        return error_response_frame(opcode, ST_INTERNAL)

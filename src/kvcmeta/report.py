@@ -106,9 +106,10 @@ def write_normalized(path: str, rows: list[NormalizedRow]) -> None:
 
 
 def read_interval_stats(path: str) -> IntervalStats:
-    """Load an interval_stats.csv produced by write_interval_stats."""
+    """Load an interval_stats.csv produced by write_interval_stats; the file
+    records neither the interval nor the warm-up, so both load as None."""
     rows = _read_rows(path, INTERVAL_STATS_HEADER, (int, str, int, int, int))
-    return IntervalStats(0, 0, [IntervalRow(*row) for row in rows])
+    return IntervalStats(None, None, [IntervalRow(*row) for row in rows])
 
 
 def sha256_file(path: str) -> str:

@@ -9,10 +9,10 @@ Per-connection ordering: ``StoreServer``, one thread running one
 strictly in arrival order, one response frame per request frame. Requests on
 different connections interleave arbitrarily. The remote client keeps one
 connection per calling thread, so concurrent workers never share a socket.
-Each end reads a connection through one ``protocol.FrameReader``, so a
-frame that arrives whole costs one ``recv``. The loop's sockets are
-non-blocking, and it takes every frame through ``protocol.read_frame``. A
-turn on a connection answers one frame; it reads on only while the
+Each end reads a connection through one ``protocol.FrameReader``, so a frame
+that arrives whole costs one ``recv``. The loop's sockets are non-blocking;
+it takes every frame through ``protocol.read_frame`` and answers it with
+``protocol.respond``. A turn answers one frame, and reads on only while its
 connection is the only one and no other socket is ready. A connection left
 holding a whole frame, or a reply its socket refused, is watched for write,
 so the selector returns to it at once and connections interleave frame by
@@ -39,7 +39,7 @@ from time import monotonic
 from typing import Protocol
 
 from . import protocol as wire
-from .store import BadRangeError, IndexStats, check_scan
+from .store import IndexStats, check_scan
 
 _UNLIMITED = 0xFFFFFFFF  # u32 max_results sentinel: effectively no truncation
 
@@ -134,7 +134,7 @@ class StoreServer:
                               and all(k is key for k, _ in self._sel.select(0))):
                 if (frame := wire.read_frame(reader)) is None:
                     return self._close(sock)
-                out = self._respond(*frame)
+                out = wire.respond(self.backend, *frame)
         except BlockingIOError:
             pass  # recv would wait, or send found the buffer full
         except wire.ProtocolError as exc:  # framing is lost past an oversized header
@@ -146,21 +146,6 @@ class StoreServer:
         events = EVENT_WRITE if out or wire.frame_ready(reader.buf) else EVENT_READ
         if EVENT_WRITE in (events, key.events):
             self._sel.modify(sock, events, (reader, out))
-
-    def _respond(self, opcode: int, payload: bytes) -> bytes:
-        try:
-            req = wire.decode_request(opcode, payload)
-        except wire.ProtocolError:
-            return wire.error_response_frame(opcode, wire.ST_BAD_REQUEST)
-        op = wire._OPS[opcode]
-        try:
-            result = getattr(self.backend, op.method)(*req[1:])
-            resp = (opcode, op.absent if result is None else wire.ST_OK, result)
-            return wire.encode_frame(opcode, wire.encode_response(resp))
-        except BadRangeError:
-            return wire.error_response_frame(opcode, wire.ST_BAD_REQUEST)
-        except Exception:
-            return wire.error_response_frame(opcode, wire.ST_INTERNAL)
 
     def _close(self, sock: socket.socket) -> None:
         self._sel.unregister(sock)

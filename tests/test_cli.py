@@ -465,6 +465,13 @@ class TestServeCmd:
         assert exc.value.code == 2
         assert "--stats-interval: must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries", ["0", "-5"])
+    def test_max_entries_must_be_at_least_one(self, entries, capsys):
+        with pytest.raises(SystemExit) as exc:  # parse only: serve would not return
+            build_parser().parse_args(["serve", "--max-entries", entries])
+        assert exc.value.code == 2
+        assert f"--max-entries: must be at least 1, got {entries}" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("option", ["--mode", "--schedule", "--key-scheme"])
 def test_bench_rejects_an_unknown_choice(option, trace_file, tmp_path, capsys):
@@ -483,6 +490,11 @@ def test_bench_rejects_an_unknown_choice(option, trace_file, tmp_path, capsys):
     ("--workers", "0", "must be at least 1"),
     ("--time-scale", "0", "must be positive and at most 1.79769e+308"),
     ("--time-scale", "inf", "must be positive and at most 1.79769e+308"),
+    ("--chunk-split", "0", "must be at least 1"),
+    ("--timeout", "0", "must be positive and at most 9.22337e+09"),
+    ("--abort-error-rate", "nan", "must be finite and at least 0"),
+    ("--abort-error-rate", "inf", "must be finite and at least 0"),
+    ("--abort-error-rate", "-0.5", "must be finite and at least 0"),
 ])
 def test_bench_rejects_a_bad_interval_or_warmup_before_compiling(
         option, value, message, trace_file, tmp_path, capsys, monkeypatch):
@@ -494,6 +506,12 @@ def test_bench_rejects_a_bad_interval_or_warmup_before_compiling(
     assert exc.value.code == 2
     assert f"argument {option}: {message}, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["0", "1.0"])
+def test_bench_accepts_an_abort_error_rate_of_zero_or_one(rate):
+    args = build_parser().parse_args(["bench", "t.jsonl", "--out", "o", "--abort-error-rate", rate])
+    assert args.abort_error_rate == float(rate)
 
 
 def test_serve_imports_only_what_it_serves():
@@ -561,17 +579,21 @@ class TestBenchFailurePaths:
         assert "error:" in capsys.readouterr().err
 
     def test_timeout_zero_is_rejected_before_any_op(self, trace_file, tmp_path, capsys):
-        rc = main(["bench", trace_file, "--out", str(tmp_path / "x"),
-                   "--backend", "remote:127.0.0.1:1", "--timeout", "0"])
-        assert rc == 1
-        assert "error: timeout must be positive" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", trace_file, "--out", str(tmp_path / "x"),
+                  "--backend", "remote:127.0.0.1:1", "--timeout", "0"])
+        assert exc.value.code == 2
+        assert "argument --timeout: must be positive and at most" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_timeout_beyond_a_socket_timeout_is_an_error_line(self, trace_file, tmp_path,
                                                                capsys):
-        rc = main(["bench", trace_file, "--out", str(tmp_path / "x"),
-                   "--backend", "remote:127.0.0.1:1", "--timeout", "1e300"])
-        assert rc == 1
-        assert "error: timeout must be positive" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", trace_file, "--out", str(tmp_path / "x"),
+                  "--backend", "remote:127.0.0.1:1", "--timeout", "1e300"])
+        assert exc.value.code == 2
+        assert "argument --timeout: must be positive and at most" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_abort_threshold_marks_partial_outputs(self, trace_file, tmp_path, monkeypatch, capsys):
         from kvcmeta import bench as bench_mod

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kvcmeta import protocol as wire
-from kvcmeta.store import IndexStats
+from kvcmeta.store import BadRangeError, IndexStats
 
 KEY = bytes(range(32))
 KEY2 = bytes(range(1, 33))
@@ -396,3 +396,68 @@ def test_not_found_is_get_only():
 def test_error_response_frame_echoes_opcode():
     frame = wire.error_response_frame(0xFF, wire.ST_BAD_REQUEST)
     assert read_whole_frame(frame) == (0xFF, bytes([wire.ST_BAD_REQUEST]))
+
+
+class FakeBackend:
+    """Records each call and answers it with a fixed result: a GET finds KEY
+    only. With ``raises`` set, every method records its call and raises it."""
+
+    def __init__(self, raises: Exception | None = None):
+        self.raises = raises
+        self.calls: list[tuple] = []
+
+    def _answer(self, call: tuple, result):
+        self.calls.append(call)
+        if self.raises is not None:
+            raise self.raises
+        return result
+
+    def put(self, key, value): return self._answer(("put", key, value), 9)
+    def get(self, key): return self._answer(("get", key), 5 if key == KEY else None)
+    def scan(self, start, end, max_results):
+        return self._answer(("scan", start, end, max_results), [(KEY, 1)])
+    def delete(self, key): return self._answer(("delete", key), True)
+    def stats(self): return self._answer(("stats",), IndexStats(1, 2, 3, 4, 5, 6, 7, 8))
+
+
+SCAN_PAYLOAD = KEY + KEY2 + (3).to_bytes(4, "big")
+
+
+class TestRespond:
+    """``respond`` turns one request frame into one whole response frame, with no socket."""
+
+    @pytest.mark.parametrize("opcode, payload, call, frame", [
+        (wire.OP_PUT, KEY + (7).to_bytes(8, "big"), ("put", KEY, 7),
+         b"\x00\x00\x00\x0a\x01" + b"\x00\x01" + (9).to_bytes(8, "big")),
+        (wire.OP_GET, KEY, ("get", KEY), b"\x00\x00\x00\x09\x02" + b"\x00" + (5).to_bytes(8, "big")),
+        (wire.OP_SCAN, SCAN_PAYLOAD, ("scan", KEY, KEY2, 3),
+         b"\x00\x00\x00\x2d\x03" + b"\x00" + (1).to_bytes(4, "big") + KEY + (1).to_bytes(8, "big")),
+        (wire.OP_DELETE, KEY, ("delete", KEY), b"\x00\x00\x00\x02\x04" + b"\x00\x01"),
+        (wire.OP_STATS, b"", ("stats",),
+         b"\x00\x00\x00\x41\x05" + b"\x00" + b"".join(i.to_bytes(8, "big") for i in range(1, 9))),
+    ], ids=["put", "get", "scan", "delete", "stats"])
+    def test_each_opcode_gets_its_ok_reply(self, opcode, payload, call, frame):
+        backend = FakeBackend()
+        assert wire.respond(backend, opcode, payload) == frame
+        assert backend.calls == [call]
+
+    def test_get_of_an_absent_key_is_not_found(self):
+        assert wire.respond(FakeBackend(), wire.OP_GET, KEY2) == b"\x00\x00\x00\x01\x02\x01"
+
+    @pytest.mark.parametrize("exc, frame", [
+        (BadRangeError("start >= end_exclusive"), b"\x00\x00\x00\x01\x03\x02"),
+        (RuntimeError("backend broke"), b"\x00\x00\x00\x01\x03\x03"),
+    ], ids=["BadRangeError", "RuntimeError"])
+    def test_a_raising_method_gets_a_bare_status(self, exc, frame):
+        backend = FakeBackend(raises=exc)
+        assert wire.respond(backend, wire.OP_SCAN, SCAN_PAYLOAD) == frame
+        assert backend.calls == [("scan", KEY, KEY2, 3)]
+
+    @pytest.mark.parametrize("opcode, payload, frame", [
+        (wire.OP_GET, KEY[:31], b"\x00\x00\x00\x01\x02\x02"),
+        (0xFF, b"", b"\x00\x00\x00\x01\xff\x02"),
+    ], ids=["wrong-size", "unknown-opcode"])
+    def test_an_undecodable_request_gets_bad_request_with_its_opcode(self, opcode, payload, frame):
+        backend = FakeBackend()
+        assert wire.respond(backend, opcode, payload) == frame
+        assert backend.calls == []

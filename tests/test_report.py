@@ -54,7 +54,9 @@ def test_interval_stats_round_trip(tmp_path):
     ])
     path = str(tmp_path / "interval_stats.csv")
     report.write_interval_stats(path, stats)
-    assert report.read_interval_stats(path).rows == stats.rows
+    loaded = report.read_interval_stats(path)
+    assert loaded.rows == stats.rows
+    assert (loaded.interval_s, loaded.warmup_s) == (None, None)  # the file records neither
 
 
 def test_hit_rate_cdf_round_trip(tmp_path, fixture_trace):
