@@ -295,8 +295,10 @@ def replay(
         raise ValueError("workers must be >= 1")
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
-    if schedule == "faithful" and time_scale <= 0:
+    if schedule == "faithful" and not time_scale > 0:  # NaN fails too
         raise ValueError("time_scale must be positive")
+    if not 0 <= abort_error_rate < math.inf:
+        raise ValueError("abort_error_rate must be finite and at least 0")
 
     for key, value in opstream.preload:
         backend.put(key, value)

@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="characterize a trace into CSVs + summary JSON", **fmt)
     p.add_argument("trace", help="trace file (JSON Lines, .gz accepted)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--bucket-seconds", type=int, default=60,
+    p.add_argument("--bucket-seconds", type=_int_at_least(1), default=60,
                    help="reuse timeline bucket width (default 60)")
     p.set_defaults(func=cmd_analyze)
 

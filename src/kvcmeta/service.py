@@ -289,10 +289,11 @@ class RemoteBackend:
 
 
 def parse_hostport(text: str) -> tuple[str, int]:
-    """'host:port' -> (host, port); ValueError if either part is missing."""
+    """'host:port' -> (host, port); ValueError if either part is missing or
+    the port is above 65535."""
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"expected host:port, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"expected host:port with a port of at most 65535, got {text!r}")
     return host, int(port)
 
 

@@ -22,21 +22,21 @@ tier (hit/miss counters, eviction policy). Policies:
 * ``lru``     - plain recency eviction, the conventional baseline;
 * ``lru_pin`` - reuse-aware: per-entry hotness counters with exponential
   half-life decay drive eviction (least-hot first, least-recent on ties),
-  and per namespace the ``pin_first_n`` lowest block ids inserted so far are
-  pinned, i.e. never evicted, capturing the persistently reused initial
-  prefix blocks. Pins never exceed the capacity over all namespaces, and
-  scores are kept as logarithms, so they need no rescale and there is no
-  uptime limit.
+  and pinned entries are never evicted. When a write admits a key to the
+  tier, the key is pinned if its block id is in its namespace's pin list.
+  Otherwise, if that list holds fewer than ``pin_first_n`` ids and all lists
+  together hold fewer than the tier's capacity, the id joins the list and
+  the key is pinned. Otherwise, if the id is below the list's highest id, it
+  takes that id's place: the key is pinned and the displaced key is
+  unpinned. So each namespace pins its lowest block ids put so far, the
+  reused initial prefix, within a budget of the capacity. Scores are kept as
+  logarithms, so they need no rescale and there is no uptime limit.
 
-``lru_pin`` keeps one entry per resident key, the tuple (score, last
-access, key), and replaces it on every access. Its two eviction queues, a
-FIFO of admissions and a heap, hold those tuples, so every queued item is
-either its key's current entry or stale. The tier needs a non-decreasing
-clock for its speed (the default is ``time.monotonic``): it takes most
-victims in O(1) from the FIFO, which is in eviction order only while
-weights do not fall in admission order. A clock that steps back sends
-admissions to the slower heap until it passes the FIFO's last weight;
-victims stay the same.
+``lru_pin`` needs a non-decreasing clock for its speed (the default is
+``time.monotonic``): it takes most victims in O(1) from a FIFO of
+admissions, which is in eviction order only while weights do not fall in
+admission order. A clock that steps back sends admissions to a slower heap
+until it passes the FIFO's last weight; victims stay the same.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class CacheConfig(_CacheFields):
             raise ValueError(f"unknown cache policy: {self.policy!r}")
         if self.pin_first_n < 0:
             raise ValueError("pin_first_n must be >= 0")
-        if self.hotness_halflife_s <= 0:
+        if not self.hotness_halflife_s > 0:  # NaN fails; inf means no decay
             raise ValueError("hotness_halflife_s must be positive")
         if (
             self.capacity_entries > 0
@@ -203,6 +203,14 @@ class _PinTier:
     sum to a relative |L| 2^-53, so after U half-lives an access more than
     about 53 - log2(U) half-lives older than an entry's newest adds nothing.
 
+    Pin rule: when a write admits a key to the tier, the key is pinned if
+    its block id is in its namespace's pin list. Otherwise, if that list
+    holds fewer than ``pin_first_n`` ids and all lists together hold fewer
+    than the tier's capacity, the id joins the list and the key is pinned.
+    Otherwise, if the id is below the list's highest id, it takes that id's
+    place: the key is pinned and the displaced key is unpinned. A pin list
+    holds the keys themselves, which sort by block id within a namespace.
+
     Each resident key has one entry, the tuple (score, last_seq, key), and
     the victim is the unpinned key with the least entry. The two lazy queues
     below hold entries themselves, and an access stores a new tuple, so a
@@ -216,7 +224,7 @@ class _PinTier:
       current item, an entry accessed once, is its own lower bound. An
       admission lighter than the FIFO's last item (the clock stepped back)
       goes to the heap instead, so the order holds for any clock.
-    * ``_heap``, entries accessed again, demoted pins and admissions while
+    * ``_heap``, entries accessed again, displaced pins and admissions while
       the clock stepped back. Scores only grow, so a stale item is a lower
       bound.
 
@@ -244,36 +252,6 @@ class _PinTier:
     def __len__(self) -> int:
         return len(self._res)
 
-    def _pin(self, key: bytes, pins: list[bytes] | None) -> None:
-        """Pin ``key`` if its block id is among the ``pin_first_n`` lowest
-        put in its namespace so far. ``pins`` is the namespace's sorted pin
-        list, or None before its first pin; keys of one namespace sort by
-        block id, so the lists hold the keys themselves."""
-        pinned = self._pinned
-        if pins is None:
-            if self._pin_count < self.capacity:
-                self._pin_ids[key[:NAMESPACE_BYTES]] = [key]
-                self._pin_count += 1
-                pinned.add(key)
-            return
-        i = bisect_left(pins, key)
-        if i < len(pins) and pins[i] == key:
-            pinned.add(key)
-        elif len(pins) < self.pin_first_n and self._pin_count < self.capacity:
-            # Pins never exceed capacity, so eviction can always restore the bound.
-            pins.insert(i, key)
-            self._pin_count += 1
-            pinned.add(key)
-        elif i < len(pins):
-            displaced = pins.pop()
-            pins.insert(i, key)
-            pinned.add(key)
-            pinned.discard(displaced)
-            entry = self._res.get(displaced)
-            if entry is not None:
-                # Demoted entry becomes an ordinary eviction candidate.
-                heappush(self._heap, entry)
-
     def touch(self, key: bytes, write: bool = False) -> bool:
         """Access a key known to exist in the store. True iff it was resident
         (a cache hit); on a miss the entry is admitted. ``write`` marks a
@@ -288,23 +266,30 @@ class _PinTier:
                 hi, lo = lo, hi
             res[key] = (hi + log1p(exp(lo - hi)), seq, key)
             return True
-        if write and self.pin_first_n:
-            # Pins are decided when a write admits a key; for a resident key
-            # the test is a no-op. Pin lists only grow, and once a list is
-            # full or the pin budget spent, its last key only falls. So a
-            # pinned key stays pinned until it is demoted or deleted, and a
-            # key that failed the tests, or was demoted, fails them for good;
-            # a resident key that is not pinned is one of those. The common
-            # failure, a key above a list that cannot grow, is decided here.
-            pins = self._pin_ids.get(key[:NAMESPACE_BYTES])
-            if (
-                pins is None
-                or key <= pins[-1]
-                or (len(pins) < self.pin_first_n and self._pin_count < self.capacity)
-            ):
-                self._pin(key, pins)
-        res[key] = entry = (weight, seq, key)
         fifo, heap, pinned = self._fifo, self._heap, self._pinned
+        if write and self.pin_first_n:
+            # The pin rule, run only when a write admits a key: lists only
+            # grow, and once a list is full or the budget spent its last key
+            # only falls, so a resident key that is not pinned would fail it
+            # again. The common failure, a key above a full list, costs two
+            # compares.
+            pins = self._pin_ids.get(key[:NAMESPACE_BYTES])
+            room = (pins is None or len(pins) < self.pin_first_n) and self._pin_count < self.capacity
+            if room or pins is not None and key <= pins[-1]:
+                if pins is None:
+                    pins = self._pin_ids[key[:NAMESPACE_BYTES]] = []
+                i = bisect_left(pins, key)
+                if i == len(pins) or pins[i] != key:
+                    if room:
+                        self._pin_count += 1
+                    else:
+                        displaced = pins.pop()
+                        pinned.discard(displaced)
+                        if displaced in res:
+                            heappush(heap, res[displaced])  # now an eviction candidate
+                    pins.insert(i, key)
+                pinned.add(key)
+        res[key] = entry = (weight, seq, key)
         if key not in pinned:
             if not fifo or weight >= fifo[-1][0]:
                 fifo.append(entry)

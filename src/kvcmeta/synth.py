@@ -60,12 +60,12 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.num_requests < 0:
             raise ValueError("num_requests must be >= 0")
-        if self.mean_interarrival_ms <= 0:
+        if not self.mean_interarrival_ms > 0:  # NaN fails too
             raise ValueError("mean_interarrival_ms must be positive")
         t = self.prefix_tree
         if t.depth < 1 or t.branching < 1 or t.blocks_per_node < 1:
             raise ValueError("prefix_tree depth, branching, blocks_per_node must be >= 1")
-        if self.reuse_bias < 0:
+        if not self.reuse_bias >= 0:
             raise ValueError("reuse_bias must be >= 0")
         if not 0.0 <= self.random_block_rate <= 1.0:
             raise ValueError("random_block_rate must lie in [0, 1]")

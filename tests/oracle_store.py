@@ -69,10 +69,19 @@ class ModelHotTier:
     Same log-score arithmetic as the store: a score is the natural log of
     the sum of its access weights 2^((t - t0)/halflife), so it never
     overflows and the model holds for any uptime. Each eviction scans every
-    resident for the unpinned one with the least (score, last_seq). A key is
-    pinned iff it is in the store and its id is among the ``pin_first_n``
-    lowest ids ever put in its namespace. Valid while namespaces x
-    pin_first_n <= capacity.
+    resident for the unpinned one with the least (score, last_seq).
+
+    The store's pin rule: when a write admits a key to the tier, the key is
+    pinned if its block id is in its namespace's pin list. Otherwise, if
+    that list holds fewer than ``pin_first_n`` ids and all lists together
+    hold fewer than the tier's capacity, the id joins the list and the key
+    is pinned. Otherwise, if the id is below the list's highest id, it takes
+    that id's place: the key is pinned and the displaced key is unpinned.
+    While namespaces x ``pin_first_n`` <= capacity the budget never binds,
+    and the rule pins a key iff it is in the store and its id is among the
+    ``pin_first_n`` lowest ids ever put in its namespace. That is what the
+    model computes, so it models pins only while namespaces x
+    ``pin_first_n`` <= capacity.
     """
 
     def __init__(self, capacity: int, pin_first_n: int, halflife: float, clock):

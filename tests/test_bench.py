@@ -469,6 +469,20 @@ class TestReplay:
         with pytest.raises(ValueError):
             replay(stream, HybridMetaStore(), schedule="faithful", time_scale=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"schedule": "faithful", "time_scale": float("nan")}, "time_scale must be positive"),
+        ({"abort_error_rate": float("nan")}, "abort_error_rate must be finite and at least 0"),
+        ({"abort_error_rate": -0.5}, "abort_error_rate must be finite and at least 0"),
+        ({"abort_error_rate": float("inf")}, "abort_error_rate must be finite and at least 0"),
+    ])
+    def test_bad_rate_is_rejected_before_the_preload(self, kwargs, message, fixture_trace):
+        stream = compile_ops(fixture_trace, namespace=NS)
+        assert stream.preload
+        backend = HybridMetaStore()
+        with pytest.raises(ValueError, match=message):
+            replay(stream, backend, **kwargs)
+        assert len(backend) == 0
+
 
 def _oracle_percentile(samples, q):
     # independent nearest-rank: smallest 1-based rank r with r/n >= q

@@ -89,6 +89,15 @@ class TestAnalyze:
         assert manifest["trace_label"] == "fixture6.jsonl"
         assert manifest["aborted"] is False
 
+    def test_analyze_rejects_a_bucket_width_below_one_before_reading(
+            self, trace_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", trace_file, "--out", str(out), "--bucket-seconds", "0"])
+        assert exc.value.code == 2
+        assert "argument --bucket-seconds: must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_analyze_missing_trace(self, tmp_path, capsys):
         rc = main(["analyze", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -182,6 +191,16 @@ class TestSynthCmd:
         rc = main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "t.jsonl")])
         assert rc == 1
         assert "empty trace" in capsys.readouterr().err
+
+    def test_synth_nan_reuse_bias_fails_with_field_message(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        with open(os.path.join(CONFIGS, "cookbook_toolagent.json")) as fh:
+            raw = json.load(fh)
+        raw["reuse_bias"] = float("nan")
+        cfg_path.write_text(json.dumps(raw))  # written as NaN, which json.load reads back
+        rc = main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "t.jsonl")])
+        assert rc == 1
+        assert "error: reuse_bias must be >= 0" in capsys.readouterr().err
 
     def test_synth_invalid_config_fails_with_field_message(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -464,6 +483,17 @@ class TestServeCmd:
             build_parser().parse_args(["serve", "--stats-interval", interval])
         assert exc.value.code == 2
         assert "--stats-interval: must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--listen", "127.0.0.1:99999", "expected host:port with a port of at most 65535"),
+        ("--cache", "policy=lru_pin,capacity=8,halflife=nan", "hotness_halflife_s must be positive"),
+    ])
+    def test_serve_rejects_a_bad_port_or_halflife_before_serving(
+            self, option, value, message, capsys, monkeypatch):
+        from kvcmeta import cli
+        monkeypatch.setattr(cli, "serve", lambda *args: pytest.fail("served"))
+        assert main(["serve", option, value]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entries", ["0", "-5"])
     def test_max_entries_must_be_at_least_one(self, entries, capsys):

@@ -12,7 +12,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from kvcmeta import protocol as wire
-from kvcmeta.service import RemoteBackend, StoreServer, TransportError, connect, serve
+from kvcmeta.service import (
+    RemoteBackend, StoreServer, TransportError, connect, parse_hostport, serve,
+)
 from kvcmeta.store import CacheConfig, HybridMetaStore, encode_key
 from oracle_store import ModelStore
 
@@ -651,6 +653,15 @@ def test_connect_refused_is_transport_error():
     backend = RemoteBackend("127.0.0.1", 1, timeout=0.3)  # port 1: nothing there
     with pytest.raises(TransportError, match="connect"):
         backend.get(encode_key(NS, 1))
+
+
+def test_parse_hostport_rejects_a_port_above_65535():
+    assert parse_hostport("127.0.0.1:65535") == ("127.0.0.1", 65535)
+    for endpoint in ("127.0.0.1:65536", "127.0.0.1:99999"):
+        with pytest.raises(ValueError, match=f"got '{endpoint}'"):
+            parse_hostport(endpoint)
+        with pytest.raises(ValueError, match="at most 65535"):
+            connect(endpoint)  # the port would wrap modulo 65536
 
 
 def test_connect_endpoint_string():

@@ -113,6 +113,11 @@ class TestCacheConfig:
         with pytest.raises(ValueError):
             CacheConfig(capacity_entries=-1)
 
+    def test_nan_halflife_is_rejected_and_inf_means_no_decay(self):
+        with pytest.raises(ValueError, match="hotness_halflife_s must be positive"):
+            CacheConfig(4, "lru_pin", 1, float("nan"))
+        assert CacheConfig(4, "lru_pin", 1, float("inf")).hotness_halflife_s == float("inf")
+
     def test_replace_and_make_check_like_the_constructor(self):
         cfg = CacheConfig(capacity_entries=8, policy="lru_pin", pin_first_n=4)
         assert cfg._replace(pin_first_n=8) == CacheConfig(8, "lru_pin", 8, 600.0)
@@ -405,6 +410,30 @@ class TestCachePolicies:
         s.get(encode_key(NS, 1))
         s.get(encode_key(NS, 2))
         assert s.stats().cache_misses == before
+
+    def test_a_spent_pin_budget_displaces_and_then_pins_nothing(self):
+        # Four namespaces with one key each spend the budget of 4 pins while
+        # every pin list is still shorter than pin_first_n.
+        s = HybridMetaStore(
+            cache=CacheConfig(capacity_entries=4, policy="lru_pin", pin_first_n=3)
+        )
+        first = [encode_key(f"ns{i}", 10) for i in range(4)]
+        for k in first:
+            s.put(k, 0)
+        tier = s._cache
+        assert tier._pinned == set(first) and tier._pin_count == 4
+        low, high = encode_key("ns0", 5), encode_key("ns0", 20)
+        s.put(low, 0)  # displaces ns0's pin, the one entry left to evict
+        kept = {low, *first[1:]}
+        assert tier._pinned == kept and tier._pin_ids[low[:24]] == [low]
+        s.put(high, 0)  # above ns0's list, with no budget left: pins nothing
+        assert tier._pinned == kept and tier._pin_count == 4
+        before = s.stats()
+        for k in (first[0], high, *kept):
+            s.get(k)
+        after = s.stats()
+        assert after.cache_misses - before.cache_misses == 2  # first[0] and high
+        assert after.cache_hits - before.cache_hits == 4
 
     def test_cache_capacity_zero_disables_accounting(self):
         s = HybridMetaStore(cache=CacheConfig(capacity_entries=0))

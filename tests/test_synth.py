@@ -55,6 +55,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="mean_interarrival_ms"):
             _config(mean_interarrival_ms=0)
 
+    def test_nan_interarrival(self):
+        with pytest.raises(ValueError, match="mean_interarrival_ms must be positive"):
+            _config(mean_interarrival_ms=float("nan"))
+
     def test_from_dict_missing_field(self):
         with pytest.raises(ValueError, match="invalid synth config"):
             SynthConfig.from_dict({"num_requests": 5})
