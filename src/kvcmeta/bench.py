@@ -295,8 +295,8 @@ def replay(
         raise ValueError("workers must be >= 1")
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
-    if schedule == "faithful" and not time_scale > 0:  # NaN fails too
-        raise ValueError("time_scale must be positive")
+    if schedule == "faithful" and not 0 < time_scale < math.inf:  # NaN fails too
+        raise ValueError("time_scale must be positive and finite")
     if not 0 <= abort_error_rate < math.inf:
         raise ValueError("abort_error_rate must be finite and at least 0")
 

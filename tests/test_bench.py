@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import sys
 import threading
@@ -481,6 +482,14 @@ class TestReplay:
         backend = HybridMetaStore()
         with pytest.raises(ValueError, match=message):
             replay(stream, backend, **kwargs)
+        assert len(backend) == 0
+
+    def test_infinite_time_scale_is_rejected_before_the_preload(self, fixture_trace):
+        stream = compile_ops(fixture_trace, namespace=NS)
+        assert stream.preload
+        backend = HybridMetaStore()
+        with pytest.raises(ValueError, match="finite"):
+            replay(stream, backend, schedule="faithful", time_scale=math.inf)
         assert len(backend) == 0
 
 

@@ -15,8 +15,8 @@ from kvcmeta import protocol as wire
 from kvcmeta.service import (
     RemoteBackend, StoreServer, TransportError, connect, parse_hostport, serve,
 )
-from kvcmeta.store import CacheConfig, HybridMetaStore, encode_key
-from oracle_store import ModelStore
+from kvcmeta.store import CacheConfig, HybridMetaStore, IndexStats, encode_key
+from oracle_store import ModelHotTier, ModelStore
 
 NS = b"svc"
 
@@ -505,6 +505,36 @@ def test_served_lru_pin_store_outlives_a_thousand_half_lives():
     with serve(("127.0.0.1", 0), store) as handle, connect(handle.address) as remote:
         remote.put(key, 7)
         assert remote.get(key) == 7
+
+
+def test_served_lru_pin_stats_count_every_pending_get():
+    # Of 300 remote gets, more than 256 are of present keys, so one batch is
+    # applied and the rest are still pending when STATS arrives; it must count
+    # them too, as the per-access reference tier does. Both read a clock
+    # that never moves.
+    def clock():
+        return 0.0
+
+    cache = CacheConfig(capacity_entries=64, policy="lru_pin", pin_first_n=4)
+    store = HybridMetaStore(cache=cache, clock=clock)
+    model = ModelHotTier(64, 4, cache.hotness_halflife_s, clock)
+    rng = random.Random(7)
+    puts = [encode_key(NS, bid) for bid in range(200)]
+    gets = [encode_key(NS, rng.randrange(220)) for _ in range(300)]  # ids >= 200 are absent
+    with serve(("127.0.0.1", 0), store) as handle, connect(handle.address) as remote:
+        for i, key in enumerate(puts):
+            remote.put(key, i)
+            model.put(key)
+        for key in gets:
+            remote.get(key)
+            model.get(key)
+        assert 0 < len(store._pending) < 256
+        stats = remote.stats()
+    assert stats == IndexStats(
+        puts=200, gets=300, scans=0, deletes=0, cache_hits=model.hits,
+        cache_misses=model.misses, resident_entries=200, cache_entries=len(model.entries),
+    )
+    assert model.hits and model.misses
 
 
 def test_concurrent_connections_oracle_equivalence(server):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from hashlib import sha256
 
 import pytest
@@ -674,6 +675,127 @@ def test_lru_pin_bookkeeping_stays_bounded_under_put_delete_churn():
         assert len(tier._heap) + len(tier._fifo) <= 2 * len(tier) + 64
 
 
+# -- batched tier applies ----------------------------------------------------
+#
+# A get of a present key waits in the store's pending list until 256 are
+# pending or a put, delete or stats() applies it. These stretches put more
+# than 256 such gets between two stats() calls, with puts, deletes and clock
+# steps back among them, so batches are applied in the middle of a stretch
+# as well as by the ops and the stats() call that end it.
+
+_BATCH_IDS = 64  # per namespace
+
+
+def _batched_stretch():
+    """A run of 257-400 reads of consecutive ids with up to 12 single ops
+    (puts, gets, deletes, clock steps back or forward) inserted in it, or,
+    as often, the single ops alone."""
+    ids = st.integers(min_value=0, max_value=_BATCH_IDS - 1)
+    ns = st.sampled_from([NS, NS2])
+    # clock steps in quarter half-lives, back as well as forward
+    single = st.tuples(st.sampled_from(["put", "get", "delete"]), ns, ids, st.integers(-4, 4))
+    run = st.tuples(ns, ids, st.integers(min_value=257, max_value=400)).map(
+        lambda r: [("get", r[0], (r[1] + i) % _BATCH_IDS, 0) for i in range(r[2])]
+    )
+
+    def interleave(parts):
+        reads, singles, with_reads = parts
+        ops = list(reads) if with_reads else []
+        for at, op in sorted(singles, reverse=True):
+            ops.insert(at, op)
+        return ops
+
+    return st.tuples(
+        run, st.lists(st.tuples(st.integers(0, 400), single), max_size=12), st.booleans()
+    ).map(interleave)
+
+
+_batched_stretches = st.lists(_batched_stretch(), min_size=1, max_size=4)
+
+
+def _stretches_against(store, model, clock, stretches, halflife):
+    """Fill both namespaces, replay each stretch on ``store`` and ``model``
+    and compare the counters only at the stats() call after each stretch."""
+    prefill = [("put", ns, bid, 0) for ns in (NS, NS2) for bid in range(_BATCH_IDS)]
+    for ops in [prefill, *stretches]:
+        for op, ns, bid, quarters in ops:
+            clock.now += quarters * halflife / 4
+            key = encode_key(ns, bid)
+            if op == "put":
+                store.put(key, bid)
+            else:
+                getattr(store, op)(key)
+            getattr(model, op)(key)
+        stats = store.stats()
+        assert (stats.cache_hits, stats.cache_misses, stats.cache_entries) == (
+            model.hits, model.misses, len(model.entries)
+        )
+        assert stats.cache_hits + stats.cache_misses == stats.gets
+
+
+@given(
+    _batched_stretches,
+    st.sampled_from([(16, 0), (16, 2), (32, 8), (64, 16)]),  # 2 x pin <= capacity
+    st.sampled_from([0.5, 600.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_lru_pin_applies_batches_as_the_reference_hot_tier_accesses(
+    stretches, capacity_pin, halflife
+):
+    capacity, pin = capacity_pin
+    clock = _FakeClock()
+    store = HybridMetaStore(
+        cache=CacheConfig(capacity, "lru_pin", pin, hotness_halflife_s=halflife), clock=clock
+    )
+    model = ModelHotTier(capacity, pin, halflife, clock)
+    _stretches_against(store, model, clock, stretches, halflife)
+    assert set(store._cache._res) == set(model.entries)
+
+
+class _ModelLru:
+    """Per-access reference for the ``lru`` tier: an OrderedDict in recency
+    order, updated at once by every put and every get of a stored key."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.entries: OrderedDict[bytes, None] = OrderedDict()
+        self.stored: set[bytes] = set()
+        self.hits = 0
+        self.misses = 0
+
+    def _access(self, key: bytes) -> None:
+        self.entries[key] = None
+        self.entries.move_to_end(key)
+        if len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+
+    def put(self, key: bytes) -> None:
+        self.stored.add(key)
+        self._access(key)
+
+    def get(self, key: bytes) -> None:
+        if key in self.entries:
+            self.hits += 1
+        else:
+            self.misses += 1
+        if key in self.stored:
+            self._access(key)
+
+    def delete(self, key: bytes) -> None:
+        self.stored.discard(key)
+        self.entries.pop(key, None)
+
+
+@given(_batched_stretches, st.sampled_from([1, 16, 64, 200]))
+@settings(max_examples=60, deadline=None)
+def test_lru_applies_batches_as_a_per_access_lru(stretches, capacity):
+    clock = _FakeClock()
+    store = HybridMetaStore(cache=CacheConfig(capacity, "lru"), clock=clock)
+    model = _ModelLru(capacity)
+    _stretches_against(store, model, clock, stretches, 1.0)
+    assert list(store._cache._order) == list(model.entries)
+
+
 def test_concurrent_readers_and_writers_with_per_op_atomicity():
     """Disjoint-namespace workers hammer one store; each worker's view must
     equal its own oracle, and the final resident count must add up."""
@@ -715,3 +837,4 @@ def test_concurrent_readers_and_writers_with_per_op_atomicity():
     assert not failures
     stats = store.stats()
     assert stats.puts + stats.gets + stats.scans + stats.deletes == n_workers * (n_ops + 1)
+    assert stats.cache_hits + stats.cache_misses == stats.gets
